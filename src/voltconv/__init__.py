@@ -11,21 +11,21 @@ from .bases import (BasisSpec, chebyshev, gegenbauer, jacobi, legendre,
                     weighted_laguerre)
 from .convmat import (ConvMatrix, RecurrenceTables, apply, build,
                       build_chebyshev, build_chebyshev_naive, build_gegenbauer,
-                      build_jacobi, build_legendre, cheb_column0, gegenbauer_S,
-                      jacobi_tables, symmetry_ratio, to_dense)
+                      build_jacobi, build_legendre, jacobi_tables,
+                      symmetry_ratio, to_dense)
 from .errors import (ArgumentError, BasisParameterError, ConvergenceError,
                      DegenerateParameterError, DimensionError, DomainError,
                      DomainMismatchError, NonResolutionError, OversizeError,
                      SingularSystemError, UnsupportedBasisError, VoltconvError)
 from .laguerre import (LaguerreConvMatrix, apply_laguerre, build_laguerre,
                        fit_laguerre, to_dense_laguerre)
-from .oracle import (ErrorReport, compare_dense, compare_entrywise,
-                     conv_coeff_block, conv_coeff_oracle, conv_point_oracle,
-                     report_to_csv, sampled_value_errors)
+from .oracle import (ErrorReport, compare_entrywise, conv_coeff_block,
+                     conv_coeff_oracle, conv_point_oracle, report_to_csv,
+                     sampled_value_errors)
 from .prng import SplitMix64, random_kernel
 from .quadrature import QuadRule, gauss_jacobi, gauss_laguerre, gauss_legendre
-from .series import (ChopRule, PolySeries, basis_value_at_minus_one, evaluate,
-                     fit_chebyshev, fit_fixed_chebyshev, indefinite_integral_cheb,
+from .series import (ChopRule, PolySeries, evaluate, fit_chebyshev,
+                     fit_fixed_chebyshev, indefinite_integral_cheb,
                      series_from_csv, series_from_json, series_to_csv,
                      series_to_json)
 from .volterra import (VolterraProblem, convolve, problem_from_json,

@@ -12,7 +12,7 @@ half-line basis is the weighted Laguerre function w(x) L_n(x).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -26,8 +26,9 @@ WEIGHTED_LAGUERRE = "WeightedLaguerre"
 
 _KINDS = (CHEBYSHEV, LEGENDRE, GEGENBAUER, JACOBI, WEIGHTED_LAGUERRE)
 
-# Degenerate-line guard for Jacobi (alpha + beta = -1 is excluded: the
-# integration coefficient A_1 vanishes there and S_1 divides by it).
+# Degenerate-parameter guard: Jacobi's alpha + beta = -1 (the integration
+# coefficient A_1 vanishes there and S_1 divides by it) and Gegenbauer's
+# lambda = 0 (column 0 divides by lambda).
 DEGENERATE_TOL = 1e-12
 
 
@@ -46,10 +47,10 @@ class BasisSpec:
         if self.kind == GEGENBAUER:
             if self.lam is None:
                 raise BasisParameterError("Gegenbauer basis needs lambda")
-            if not (self.lam > -0.5) or self.lam == 0.0:
+            if not (self.lam > -0.5) or abs(self.lam) <= DEGENERATE_TOL:
                 raise BasisParameterError(
-                    f"Gegenbauer lambda must satisfy lambda > -1/2, lambda != 0 "
-                    f"(got {self.lam})")
+                    f"Gegenbauer lambda must satisfy lambda > -1/2, "
+                    f"|lambda| > {DEGENERATE_TOL:g} (got {self.lam})")
         elif self.lam is not None:
             raise BasisParameterError("lambda is only valid for Gegenbauer")
         if self.kind == JACOBI:
@@ -114,91 +115,74 @@ def raw_jacobi(alpha: float, beta: float) -> BasisSpec:
     return b
 
 
-def recurrence_abc(basis: BasisSpec, n: int, dtype=float):
-    """(A_n, B_n, C_n) of p_{n+1} = (A_n x + B_n) p_n + C_n p_{n-1}.
+def recurrence_abc(basis: BasisSpec, n, dtype=float):
+    """Arrays (A_n, B_n, C_n) of p_{n+1} = (A_n x + B_n) p_n + C_n p_{n-1}.
 
-    With dtype=np.longdouble the coefficients are formed in extended
-    precision (the oracle's quadrature pipeline needs that; coefficient
-    rounding feeds straight into recurrence accuracy).
+    n is an integer or an integer array.  With dtype=np.longdouble the
+    coefficients are formed in extended precision (the oracle's quadrature
+    pipeline needs that; coefficient rounding feeds straight into recurrence
+    accuracy).
     """
-    one = dtype(1.0)
-    nn = dtype(n)
+    nn = np.asarray(n, dtype=dtype)
+    one = np.ones_like(nn)
+    zero = np.zeros_like(nn)
     if basis.kind == CHEBYSHEV:
-        return (one, 0.0 * one, 0.0 * one) if n == 0 else (2 * one, 0.0 * one, -one)
+        return np.where(nn == 0, one, 2 * one), zero, np.where(nn == 0, zero, -one)
     if basis.kind == LEGENDRE:
-        return ((2 * nn + 1) / (nn + 1), 0.0 * one, -nn / (nn + 1))
+        return (2 * nn + 1) / (nn + 1), zero, -nn / (nn + 1)
     if basis.kind == GEGENBAUER:
         lam = dtype(basis.lam)
-        return (2 * (nn + lam) / (nn + 1), 0.0 * one,
+        return (2 * (nn + lam) / (nn + 1), zero,
                 -(nn + 2 * lam - 1) / (nn + 1))
     if basis.kind == JACOBI:
         a, b = dtype(basis.alpha), dtype(basis.beta)
-        if n == 0:
-            return ((a + b + 2) / 2, (a - b) / 2, 0.0 * one)
-        s = 2 * nn + a + b
-        denom = 2 * (nn + 1) * (nn + a + b + 1) * s
-        return ((s + 1) * (s + 2) * s / denom,
-                (s + 1) * (a * a - b * b) / denom,
-                -2 * (nn + a) * (nn + b) * (s + 2) / denom)
+        # n = 0 has its own form: the general one is 0/0 when alpha + beta = 0
+        m = np.where(nn == 0, one, nn)
+        s = 2 * m + a + b
+        denom = 2 * (m + 1) * (m + a + b + 1) * s
+        return (np.where(nn == 0, (a + b + 2) / 2, (s + 1) * (s + 2) * s / denom),
+                np.where(nn == 0, (a - b) / 2, (s + 1) * (a * a - b * b) / denom),
+                np.where(nn == 0, zero, -2 * (m + a) * (m + b) * (s + 2) / denom))
     if basis.kind == WEIGHTED_LAGUERRE:
-        return (-one / (nn + 1), (2 * nn + 1) / (nn + 1), -nn / (nn + 1))
+        return -one / (nn + 1), (2 * nn + 1) / (nn + 1), -nn / (nn + 1)
     raise UnsupportedBasisError(basis.kind)
 
 
-def poly_vandermonde(basis: BasisSpec, x: np.ndarray, degree: int) -> np.ndarray:
-    """Matrix V with V[..., k] = p_k(x), k = 0..degree (no Laguerre weight)."""
-    x = np.asarray(x, dtype=float)
-    V = np.empty(x.shape + (degree + 1,))
-    V[..., 0] = 1.0
-    if degree == 0:
-        return V
+def forward(basis: BasisSpec, x: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """Yield p_0(x), ..., p_n(x) by forward recurrence, in x's dtype.
+
+    Float64 or longdouble (other inputs are promoted to float64); no
+    Laguerre weight.  Only the last two values are held.
+    """
+    x = np.asarray(x)
+    x = x.astype(np.result_type(x, float), copy=False)
+    A, B, C = recurrence_abc(basis, np.arange(n), x.dtype.type)
     pm1 = np.ones_like(x)
-    A0, B0, _ = recurrence_abc(basis, 0)
-    p = A0 * x + B0
-    V[..., 1] = p
-    for k in range(1, degree):
-        A, B, C = recurrence_abc(basis, k)
-        p, pm1 = (A * x + B) * p + C * pm1, p
-        V[..., k + 1] = p
+    yield pm1
+    if n == 0:
+        return
+    p = A[0] * x + B[0]
+    yield p
+    for k in range(1, n):
+        p, pm1 = (A[k] * x + B[k]) * p + C[k] * pm1, p
+        yield p
+
+
+def poly_vandermonde(basis: BasisSpec, x: np.ndarray, degree: int) -> np.ndarray:
+    """Matrix V with V[..., k] = p_k(x), k = 0..degree, in x's dtype."""
+    x = np.asarray(x)
+    V = np.empty(x.shape + (degree + 1,), dtype=np.result_type(x, float))
+    for k, p in enumerate(forward(basis, x, degree)):
+        V[..., k] = p
     return V
 
 
-def poly_values(basis: BasisSpec, x: np.ndarray, n: int) -> np.ndarray:
-    """p_n(x) by forward recurrence (no Laguerre weight)."""
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.ones_like(x)
-    pm1 = np.ones_like(x)
-    A0, B0, _ = recurrence_abc(basis, 0)
-    p = A0 * x + B0
-    for k in range(1, n):
-        A, B, C = recurrence_abc(basis, k)
-        p, pm1 = (A * x + B) * p + C * pm1, p
-    return p
-
-
-def value_at_minus_one(basis: BasisSpec, n: int) -> float:
-    """p_n(-1), accumulated multiplicatively (no factorials, no overflow).
+def values_at_minus_one(basis: BasisSpec, nmax: int) -> np.ndarray:
+    """Vector [p_0(-1), ..., p_nmax(-1)], accumulated multiplicatively.
 
     Chebyshev/Legendre: (-1)^n.  Gegenbauer: (-1)^n (2 lam)_n / n!.
-    Jacobi: (-1)^n (beta+1)_n / n!.
+    Jacobi: (-1)^n (beta+1)_n / n!.  No factorials, so no overflow.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not basis.finite_interval:
-        raise UnsupportedBasisError("value_at_minus_one needs a finite-interval basis")
-    sign = -1.0 if n % 2 else 1.0
-    if basis.kind in (CHEBYSHEV, LEGENDRE):
-        return sign
-    shift = 2.0 * basis.lam if basis.kind == GEGENBAUER else basis.beta + 1.0
-    mag = 1.0
-    for j in range(n):
-        mag *= (shift + j) / (j + 1.0)
-    return sign * mag
-
-
-def values_at_minus_one(basis: BasisSpec, nmax: int) -> np.ndarray:
-    """Vector [p_0(-1), ..., p_nmax(-1)]."""
     if basis.kind in (CHEBYSHEV, LEGENDRE):
         out = np.ones(nmax + 1)
         out[1::2] = -1.0
@@ -235,22 +219,14 @@ def weight_parameters(basis: BasisSpec):
     raise UnsupportedBasisError("no finite-interval weight for " + basis.kind)
 
 
-def gegenbauer_S(lam: float, n: int) -> float:
-    """Inhomogeneous term S_n = 2 (-1)^(n+1) (lam+n) (2 lam - 1)_n / (n+1)!.
-
-    The Pochhammer ratio is a running product of O(1) factors.  Note
-    S_0 = -2 lam (the empty product is 1), which is nonzero even at
-    lam = 1/2 where S_n vanishes for all n >= 1.
-    """
-    r = 1.0
-    for i in range(n):
-        r *= (2.0 * lam - 1.0 + i) / (i + 2.0)
-    sign = 1.0 if n % 2 else -1.0
-    return 2.0 * sign * (lam + n) * r
-
-
 def gegenbauer_S_array(lam: float, nmax: int) -> np.ndarray:
-    """[S_0, ..., S_nmax] via one cumulative product."""
+    """[S_0, ..., S_nmax] via one cumulative product.
+
+    S_n = 2 (-1)^(n+1) (lam+n) (2 lam - 1)_n / (n+1)! is the inhomogeneous
+    term of the Gegenbauer column recursion.  S_0 = -2 lam (the empty
+    product is 1), which is nonzero even at lam = 1/2 where S_n vanishes
+    for all n >= 1.
+    """
     n = np.arange(nmax + 1, dtype=float)
     r = np.concatenate([[1.0],
                         np.cumprod((2.0 * lam - 1.0 + n[:-1]) / (n[:-1] + 2.0))])

@@ -8,13 +8,16 @@ Exit codes: 0 success, 2 bad arguments, 3 I/O failure, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
+import operator
 import sys
 
 import numpy as np
 
 from . import bases, convmat, laguerre, oracle, series, volterra
-from .errors import VoltconvError, SingularSystemError, ConvergenceError, NonResolutionError
+from .errors import (ArgumentError, VoltconvError, SingularSystemError, ConvergenceError,
+                     NonResolutionError)
 from .prng import random_kernel
 
 _EXIT_BAD_ARGS = 2
@@ -67,17 +70,52 @@ _FIT_NAMESPACE = {
     "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "sinh": np.sinh,
     "cosh": np.cosh, "tanh": np.tanh, "arctan": np.arctan,
 }
+_FIT_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+               ast.Div: operator.truediv, ast.Pow: operator.pow}
+_FIT_UNARYOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _fit_eval(node, x):
+    """Value at x of a parsed fit expression, over the whitelist only.
+
+    Numeric literals, x, the constants and functions of _FIT_NAMESPACE,
+    arithmetic and unary operators, and calls of those functions or of
+    public numpy ufuncs (np.<name>); anything else is rejected.
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "x":
+        return x
+    if isinstance(node, ast.Name) and isinstance(_FIT_NAMESPACE.get(node.id), float):
+        return _FIT_NAMESPACE[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _FIT_BINOPS:
+        return _FIT_BINOPS[type(node.op)](_fit_eval(node.left, x), _fit_eval(node.right, x))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _FIT_UNARYOPS:
+        return _FIT_UNARYOPS[type(node.op)](_fit_eval(node.operand, x))
+    if isinstance(node, ast.Call) and not node.keywords:
+        fn = node.func
+        if isinstance(fn, ast.Name):
+            func = _FIT_NAMESPACE.get(fn.id)
+        elif (isinstance(fn, ast.Attribute) and isinstance(fn.value, ast.Name)
+              and fn.value.id == "np" and not fn.attr.startswith("_")):
+            func = getattr(np, fn.attr, None)
+        else:
+            func = None
+        if isinstance(func, np.ufunc) and len(node.args) == func.nin:
+            return func(*[_fit_eval(arg, x) for arg in node.args])
+    raise ArgumentError(f"fit expression may not contain {ast.unparse(node)!r}")
 
 
 def _cmd_fit(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    expr = spec["expr"]
+    try:
+        expr = ast.parse(spec["expr"], mode="eval").body
+    except SyntaxError as exc:
+        raise ArgumentError(f"fit expression does not parse: {exc}") from None
 
     def f(x):
-        env = dict(_FIT_NAMESPACE)
-        env["x"] = x
-        return eval(expr, {"__builtins__": {}}, env)  # documented expression mini-language
+        return _fit_eval(expr, x)
 
     if spec.get("basis", "Chebyshev") == bases.WEIGHTED_LAGUERRE:
         s = laguerre.fit_laguerre(f, int(spec["degree"]))
@@ -160,7 +198,7 @@ def _cmd_instability(args) -> int:
     cols = oracle.conv_coeff_block(f, args.N, extended=True)
     naive = convmat.build_chebyshev_naive(a, args.N)
     stable = convmat.build_chebyshev(a, args.N)
-    rep_naive = oracle.compare_dense(naive, cols, meta={
+    rep_naive = oracle.compare_entrywise(naive, cols, meta={
         "basis": "Chebyshev", "M": args.M, "N": args.N, "seed": args.seed,
         "builder": "naive"})
     rep_stable = oracle.compare_entrywise(stable, cols, meta={"seed": args.seed,

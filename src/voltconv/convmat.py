@@ -25,6 +25,7 @@ the main diagonal its multipliers exceed 1 and roundoff snowballs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,13 +38,10 @@ from .errors import (ArgumentError, DegenerateParameterError, DimensionError,
 from .series import indefinite_integral_cheb
 
 __all__ = [
-    "ConvMatrix", "RecurrenceTables", "cheb_column0", "build_chebyshev",
-    "build_legendre", "build_gegenbauer", "build_jacobi", "build",
-    "build_chebyshev_naive", "gegenbauer_S", "jacobi_tables",
-    "symmetry_ratio", "apply", "to_dense",
+    "ConvMatrix", "RecurrenceTables", "build_chebyshev", "build_legendre",
+    "build_gegenbauer", "build_jacobi", "build", "build_chebyshev_naive",
+    "jacobi_tables", "symmetry_ratio", "apply", "to_dense",
 ]
-
-gegenbauer_S = bases.gegenbauer_S
 
 
 @dataclass(frozen=True)
@@ -90,26 +88,27 @@ class ConvMatrix:
 
 @dataclass(frozen=True)
 class RecurrenceTables:
-    """Precomputed Jacobi integration-recurrence coefficient arrays.
+    """Coefficient arrays of the integration recurrence behind a build.
 
     A[j] holds A_j for j >= 1 (A[0] is padding), B[j] and C[j] are valid
-    from j = 0, S[j] from j = 0.  Slot conventions: B[0] = 0 and S[0] =
-    S_0 - B_0 = -2(beta+1)/(alpha+beta+2); the two constants only ever
-    appear through that difference (both are singular on alpha + beta = 0
-    while the difference is not), and storing the merged value keeps the
-    tables finite and the column recursion uniform in n.
+    from j = 0, shat[n] from n = 0.  shat[n] is the coefficient of R_{k,0}
+    in the column n -> n+1 step, i.e. S_n / A_{n+1} in the Jacobi
+    normalization (for Gegenbauer the inhomogeneous constant S_n already
+    comes in that form).  Jacobi slot conventions: B[0] = 0 and S_0 is
+    stored as S_0 - B_0 = -2(beta+1)/(alpha+beta+2); the two constants only
+    ever appear through that difference (both are singular on
+    alpha + beta = 0 while the difference is not), and storing the merged
+    value keeps the tables finite and the column recursion uniform in n.
     """
 
-    alpha: float
-    beta: float
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    S: np.ndarray
+    shat: np.ndarray
 
 
 def jacobi_tables(alpha: float, beta: float, nmax: int) -> RecurrenceTables:
-    """Tables A_1..A_{nmax+1}, B_0..B_{nmax+1}, C_0..C_{nmax+1}, S_0..S_{nmax}."""
+    """Tables A_1..A_{nmax+1}, B_0..B_{nmax+1}, C_0..C_{nmax+1}, shat_0..shat_{nmax}."""
     ab = alpha + beta
     if abs(ab + 1.0) <= bases.DEGENERATE_TOL:
         raise DegenerateParameterError(
@@ -139,61 +138,35 @@ def jacobi_tables(alpha: float, beta: float, nmax: int) -> RecurrenceTables:
                           / (np.arange(nmax + 1, dtype=float) + 1.0))
         signs = np.where(np.arange(1, nmax + 1) % 2 == 1, 1.0, -1.0)
         S[1:] = 2.0 * signs * poch[1:] / (ab + i)
-    return RecurrenceTables(alpha, beta, A, B, C, S)
+    return RecurrenceTables(A, B, C, S / A[1:nmax + 2])
 
 
-class _Tables:
-    """Internal per-build coefficient arrays for the generic recursion.
-
-    shat[n] is the coefficient of R_{k,0} in the column n -> n+1 step,
-    i.e. S_n / A_{n+1} in the Jacobi normalization (for Gegenbauer the
-    inhomogeneous constant already comes in that form).
-    """
-
-    def __init__(self, A, B, C, shat):
-        self.A, self.B, self.C, self.shat = A, B, C, shat
-
-
-def _gegenbauer_tables(lam: float, nmax: int) -> _Tables:
+def _gegenbauer_tables(lam: float, nmax: int) -> RecurrenceTables:
     j = np.arange(nmax + 2, dtype=float)
     A = np.zeros(nmax + 2)
     A[1:] = 1.0 / (2.0 * (j[1:] - 1.0 + lam))
     C = -1.0 / (2.0 * (j + 1.0 + lam))
-    return _Tables(A, np.zeros(nmax + 2), C, bases.gegenbauer_S_array(lam, nmax))
-
-
-def _jacobi_internal_tables(alpha: float, beta: float, nmax: int) -> _Tables:
-    t = jacobi_tables(alpha, beta, nmax)
-    shat = t.S / t.A[1:nmax + 2]
-    return _Tables(t.A, t.B, t.C, shat)
+    return RecurrenceTables(A, np.zeros(nmax + 2), C,
+                            bases.gegenbauer_S_array(lam, nmax))
 
 
 # ---------------------------------------------------------------------------
 # column 0
 
-def cheb_column0(a) -> np.ndarray:
-    """Rows 0..M+1 of the Chebyshev R's column 0 (antiderivative coefficients)."""
-    return indefinite_integral_cheb(a)
-
-
-def _column0(basis: BasisSpec, a: np.ndarray, tables: Optional[_Tables]) -> np.ndarray:
+def _column0(basis: BasisSpec, a: np.ndarray,
+             tables: Optional[RecurrenceTables]) -> np.ndarray:
     """Rows 0..M+1 of column 0: coefficients of the kernel's antiderivative."""
+    if basis.kind == bases.CHEBYSHEV:
+        return indefinite_integral_cheb(a)
     M = a.size - 1
     col = np.zeros(M + 2)
     ap = np.concatenate([a, [0.0, 0.0]])
     k = np.arange(1, M + 2)
-    if basis.kind == bases.CHEBYSHEV:
-        col[1] = ap[0] - ap[2] / 2.0
-        if M >= 1:
-            kk = k[1:]
-            col[2:] = (ap[kk - 1] - ap[kk + 1]) / (2.0 * kk)
-    elif basis.kind == bases.GEGENBAUER or basis.kind == bases.LEGENDRE:
+    if basis.kind == bases.GEGENBAUER or basis.kind == bases.LEGENDRE:
         lam = 0.5 if basis.kind == bases.LEGENDRE else basis.lam
         col[1:] = ap[k - 1] / (2.0 * (k + lam - 1.0)) - ap[k + 1] / (2.0 * (k + lam + 1.0))
-    elif basis.kind == bases.JACOBI:
+    else:  # Jacobi
         col[1:] = tables.A[k] * ap[k - 1] + tables.B[k] * ap[k] + tables.C[k] * ap[k + 1]
-    else:
-        raise UnsupportedBasisError(basis.kind)
     w = bases.boundary_weights(basis, M + 1)
     col[0] = math.fsum(w[1:] * col[1:])
     return col
@@ -202,13 +175,27 @@ def _column0(basis: BasisSpec, a: np.ndarray, tables: Optional[_Tables]) -> np.n
 # ---------------------------------------------------------------------------
 # the stable four-phase build
 
-def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
-    """Stable construction of the convolution matrix for any supported basis."""
+def _kernel_and_size(a, N):
+    """The kernel as a finite, nonempty 1-D float array, and N as an int >= 0."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0:
+    if a.ndim != 1:
+        raise DimensionError(f"kernel coefficient array must be 1-D (got shape {a.shape})")
+    if a.size == 0:
         raise ArgumentError("kernel coefficient array must be nonempty")
+    if not np.all(np.isfinite(a)):
+        raise ArgumentError("kernel coefficients must be finite")
+    if isinstance(N, (bool, np.bool_)) or not isinstance(N, numbers.Integral):
+        raise ArgumentError(f"N must be an integer (got {N!r})")
     if N < 0:
         raise ArgumentError("N must be >= 0")
+    return a, int(N)
+
+
+def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
+    """Stable construction of the convolution matrix for any supported basis."""
+    a, N = _kernel_and_size(a, N)
+    if not math.isfinite(scale):
+        raise ArgumentError(f"scale must be finite (got {scale!r})")
     if not basis.finite_interval:
         raise UnsupportedBasisError("use laguerre.build_laguerre for the half line")
     M = a.size - 1
@@ -223,7 +210,7 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     elif basis.kind == bases.GEGENBAUER:
         tables = _gegenbauer_tables(basis.lam, Wp + 1)
     elif basis.kind == bases.JACOBI:
-        tables = _jacobi_internal_tables(basis.alpha, basis.beta, Wp + 1)
+        tables = jacobi_tables(basis.alpha, basis.beta, Wp + 1)
     else:
         raise UnsupportedBasisError(basis.kind)
 
@@ -315,13 +302,12 @@ def _shift2(prev2: np.ndarray, M: int) -> np.ndarray:
 
 
 def _fill_region_b(basis, M, W, Wp, band, strip):
-    kfull = np.arange(W + 1, dtype=float)
-    ratiof = _ratio_factors(basis, kfull)
+    ratio = _ratio_factors(basis, Wp)
     for o in range(1, M + 2):                  # superdiagonal offset n - k
         klo, khi = M + 1, W - o
         if khi >= klo:
             mirror = band[o + M + 1, klo:khi + 1]          # R_{k+o, k}
-            rho = ratiof(klo, khi, o)
+            rho = ratio(klo, khi, o)
             band[M + 1 - o, klo + o:khi + o + 1] = rho * mirror
     # strip rows M+1 / M+2 beyond the band storage (padded columns)
     for r in (M + 1, M + 2):
@@ -329,12 +315,16 @@ def _fill_region_b(basis, M, W, Wp, band, strip):
         for c in range(W + 1, Wp + 1):
             if c - r <= M + 1 and c >= r + 1:
                 mirror = band[c - r + M + 1, r]            # R_{c, r}
-                strip[r - M - 1, c] = _ratio_scalar(basis, r, c) * mirror
+                strip[r - M - 1, c] = ratio(r, r, c - r)[0] * mirror
 
 
-def _ratio_factors(basis, kfull):
-    """Closure giving R_{k,k+o}/R_{k+o,k} over k slices, shared precompute."""
-    W = len(kfull) - 1
+def _ratio_factors(basis, nmax):
+    """Closure giving R_{k,k+o} / R_{k+o,k} for k = klo..khi, k + o <= nmax.
+
+    Jacobi uses the cancellation-matched product form over one cumulative
+    product table; the raw Pochhammer quotient overflows for large indices.
+    """
+    kfull = np.arange(nmax + 1, dtype=float)
     if basis.kind == bases.CHEBYSHEV:
         def fac(klo, khi, o):
             k = kfull[klo:khi + 1]
@@ -425,37 +415,8 @@ def _sweep_region_c(basis, tables, M, N, col0, top, strip, banded):
         top[r, sl] = vals
 
 
-def _ratio_vec(basis, nrow, ncol):
-    """Vector of R_{nrow,ncol} / R_{ncol,nrow} over equal-offset diagonals."""
-    sgn = np.where((nrow + ncol) % 2 == 0, 1.0, -1.0)
-    if basis.kind == bases.CHEBYSHEV:
-        return sgn * ncol / nrow
-    if basis.kind in (bases.LEGENDRE, bases.GEGENBAUER):
-        lam = 0.5 if basis.kind == bases.LEGENDRE else basis.lam
-        return sgn * (nrow + lam) / (ncol + lam)
-    al, be = basis.alpha, basis.beta
-    ab = al + be
-    d = ncol[0] - nrow[0]
-    # product form, updated incrementally along the diagonal: the ratio for
-    # k+1 multiplies by f(k+d)/f(k) with f(j) = (j+a+1)(j+b+1)/(j+a+b+1)^2
-    j = np.arange(nrow[0], ncol[-1], dtype=float)
-    f = (j + al + 1.0) * (j + be + 1.0) / (j + ab + 1.0) ** 2
-    F = np.concatenate([[1.0], np.cumprod(f)])
-    prods = F[nrow - nrow[0] + d] / F[nrow - nrow[0]]
-    return sgn * (ab + 2.0 * nrow + 1.0) / (ab + 2.0 * ncol + 1.0) * prods
-
-
-def _ratio_scalar(basis, nrow, ncol):
-    arr = _ratio_vec(basis, np.array([nrow]), np.array([ncol]))
-    return arr[0]
-
-
 def symmetry_ratio(basis: BasisSpec, n: int, k: int) -> float:
-    """Factor rho with R_{n,k} = rho * R_{k,n} in the symmetric submatrix.
-
-    Jacobi uses the cancellation-matched product form; the raw Pochhammer
-    quotient overflows for large indices.
-    """
+    """Factor rho with R_{n,k} = rho * R_{k,n} in the symmetric submatrix."""
     if not basis.finite_interval:
         raise UnsupportedBasisError("symmetry ratio needs a finite-interval basis")
     if basis.kind == bases.CHEBYSHEV and n == 0:
@@ -464,9 +425,9 @@ def symmetry_ratio(basis: BasisSpec, n: int, k: int) -> float:
         raise ArgumentError("symmetry ratio needs n, k >= 1")
     if n == k:
         return 1.0
-    if n < k or basis.kind != bases.JACOBI:
-        return _ratio_scalar(basis, n, k)
-    return 1.0 / _ratio_scalar(basis, k, n)
+    lo, hi = min(n, k), max(n, k)
+    rho = float(_ratio_factors(basis, hi)(lo, lo, hi - lo)[0])
+    return rho if n < k else 1.0 / rho
 
 
 def build_chebyshev(a, N: int, scale: float = 1.0) -> ConvMatrix:
@@ -495,9 +456,7 @@ def build_chebyshev_naive(a, N: int) -> np.ndarray:
     multipliers (n+1)/k exceed 1 above the diagonal and roundoff compounds
     factorially); callers inspect rather than trap.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ArgumentError("kernel coefficient array must be nonempty")
+    a, N = _kernel_and_size(a, N)
     M = a.size - 1
     R = np.zeros((M + N + 2, N + 1))
     col0 = _column0(bases.chebyshev(), a, None)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bases, quadrature
+from .convmat import _kernel_and_size
 from .errors import ArgumentError, DimensionError
 from .series import PolySeries
 
@@ -56,11 +57,7 @@ class LaguerreConvMatrix:
 
 def build_laguerre(a, N: int) -> LaguerreConvMatrix:
     """Implicit convolution matrix for the kernel coefficient vector a."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ArgumentError("kernel coefficient array must be nonempty")
-    if N < 0:
-        raise ArgumentError("N must be >= 0")
+    a, N = _kernel_and_size(a, N)
     a = a.copy()
     a.setflags(write=False)
     return LaguerreConvMatrix(a, N)

@@ -17,7 +17,7 @@ contributes O(eps * w * g')).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -45,36 +45,6 @@ class ErrorReport:
         return self.meta.get("kind", "entrywise")
 
 
-def _clenshaw_any(basis: BasisSpec, coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Clenshaw in y's dtype (extended when y is longdouble)."""
-    dt = y.dtype.type
-    K = len(coeffs) - 1
-    bk1 = np.zeros_like(y)
-    bk2 = np.zeros_like(y)
-    for k in range(K, -1, -1):
-        A, B, _ = bases.recurrence_abc(basis, k, dt)
-        _, _, Cn = bases.recurrence_abc(basis, k + 1, dt)
-        bk1, bk2 = dt(coeffs[k]) + (A * y + B) * bk1 + Cn * bk2, bk1
-    return bk1
-
-
-def _vandermonde_any(basis: BasisSpec, x: np.ndarray, degree: int) -> np.ndarray:
-    dt = x.dtype.type
-    V = np.empty(x.shape + (degree + 1,), dtype=x.dtype)
-    V[..., 0] = 1.0
-    if degree == 0:
-        return V
-    A0, B0, _ = bases.recurrence_abc(basis, 0, dt)
-    pm1 = np.ones_like(x)
-    p = A0 * x + B0
-    V[..., 1] = p
-    for k in range(1, degree):
-        A, B, C = bases.recurrence_abc(basis, k, dt)
-        p, pm1 = (A * x + B) * p + C * pm1, p
-        V[..., k + 1] = p
-    return V
-
-
 def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarray:
     """Columns 0..N of the canonical convolution matrix, shape (M+N+2, N+1).
 
@@ -100,29 +70,20 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
     gl = quadrature.cached_gauss_legendre(q, extended=extended)
     y, W = proj.x, proj.w
     xi, om = gl.x, gl.w
-    dt = y.dtype
 
     # t grid: [-1, y_j] mapped Gauss-Legendre nodes; s = f's argument
     half = (y + 1)[:, None] / 2
     t = -1 + half * (xi + 1)[None, :]
     s = y[:, None] - 1 - t
-    F = _clenshaw_any(f.basis, f.coeffs, s)
+    F = clenshaw(f.basis, f.coeffs, s)
     G = F * om[None, :] * half        # includes the interval jacobian
 
     # H[j, n] = h_n(y_j) accumulated from the p_n recurrence over the t grid
-    H = np.empty((J, N + 1), dtype=dt)
-    pm1 = np.ones_like(t)
-    H[:, 0] = np.sum(G, axis=1)
-    if N >= 1:
-        A0, B0, _ = bases.recurrence_abc(f.basis, 0, dt.type)
-        p = A0 * t + B0
-        H[:, 1] = np.sum(G * p, axis=1)
-        for n in range(1, N):
-            A, B, C = bases.recurrence_abc(f.basis, n, dt.type)
-            p, pm1 = (A * t + B) * p + C * pm1, p
-            H[:, n + 1] = np.sum(G * p, axis=1)
+    H = np.empty((J, N + 1), dtype=y.dtype)
+    for n, p in enumerate(bases.forward(f.basis, t, N)):
+        H[:, n] = np.sum(G * p, axis=1)
 
-    V = _vandermonde_any(f.basis, y, K)
+    V = bases.poly_vandermonde(f.basis, y, K)
     WH = W[:, None] * H
     num = V.T @ WH                    # (K+1, N+1)
     norms = (W[:, None] * V * V).sum(axis=0)
@@ -169,28 +130,26 @@ def conv_point_oracle(f: PolySeries, g: PolySeries, points) -> np.ndarray:
     return (vals * fm).sum(axis=1)
 
 
-def compare_entrywise(built: ConvMatrix, oracle_columns: np.ndarray,
+def compare_entrywise(built: Union[ConvMatrix, np.ndarray],
+                      oracle_columns: np.ndarray,
                       meta: Optional[dict] = None) -> ErrorReport:
-    """Absolute entrywise differences over the full matrix shape."""
-    dense = to_dense(built)
-    oc = np.asarray(oracle_columns, dtype=float)
-    if oc.shape != dense.shape:
-        raise DimensionError(f"oracle shape {oc.shape} != matrix shape {dense.shape}")
-    grid = np.abs(dense - built.scale * oc)
-    info = {"basis": built.basis.label(), "M": built.M, "N": built.N,
-            "kind": "entrywise"}
-    info.update(meta or {})
-    return ErrorReport(grid, float(grid.max()), info)
+    """Absolute entrywise differences over the full matrix shape.
 
-
-def compare_dense(dense: np.ndarray, oracle_columns: np.ndarray,
-                  meta: Optional[dict] = None) -> ErrorReport:
-    """Entrywise report for a plain dense matrix (the naive builder)."""
+    ``built`` is a ConvMatrix, whose scale also multiplies the canonical
+    oracle columns, or a plain dense array such as the naive builder's.
+    """
     oc = np.asarray(oracle_columns, dtype=float)
+    if isinstance(built, ConvMatrix):
+        dense = to_dense(built)
+        oc = built.scale * oc
+        info = {"basis": built.basis.label(), "M": built.M, "N": built.N}
+    else:
+        dense = np.asarray(built, dtype=float)
+        info = {}
     if oc.shape != dense.shape:
         raise DimensionError(f"oracle shape {oc.shape} != matrix shape {dense.shape}")
     grid = np.abs(dense - oc)
-    info = {"kind": "entrywise"}
+    info["kind"] = "entrywise"
     info.update(meta or {})
     return ErrorReport(grid, float(grid.max()), info)
 
@@ -225,13 +184,13 @@ def sampled_value_errors(R: ConvMatrix, f: PolySeries, n_samples: int,
     half = (y + 1)[:, None] / 2
     t = -1 + half * (xi + 1)[None, :]
     s = y[:, None] - 1 - t
-    F = _clenshaw_any(f.basis, f.coeffs, s)
+    F = clenshaw(f.basis, f.coeffs, s)
     G = F * om[None, :] * half
     P = _pn_rows(f.basis, t, ncols)
     oracle_vals = np.sum(G * P, axis=1)
 
     # series side from the stored columns, evaluated in extended precision
-    V = _vandermonde_any(f.basis, y, M + N + 1)
+    V = bases.poly_vandermonde(f.basis, y, M + N + 1)
     errs = np.empty(n_samples)
     dense_cols = _columns_extended(R)
     for i in range(n_samples):
@@ -269,9 +228,9 @@ def _pn_rows(basis: BasisSpec, t: np.ndarray, ncols: np.ndarray) -> np.ndarray:
     order, nn, tt = order[i0:], nn[i0:], tt[i0:]
     if len(nn) == 0:
         return out
-    A0, B0, _ = bases.recurrence_abc(basis, 0, dt)
+    A, B, C = bases.recurrence_abc(basis, np.arange(nn[-1]), dt)
     pm1 = np.ones_like(tt)
-    p = A0 * tt + B0
+    p = A[0] * tt + B[0]
     k = 1
     while len(nn):
         ndone = int(np.searchsorted(nn, k + 1))   # prefix rows of degree k
@@ -282,8 +241,7 @@ def _pn_rows(basis: BasisSpec, t: np.ndarray, ncols: np.ndarray) -> np.ndarray:
             tt, p, pm1 = tt[ndone:], p[ndone:], pm1[ndone:]
         if not len(nn):
             break
-        A, B, C = bases.recurrence_abc(basis, k, dt)
-        p, pm1 = (A * tt + B) * p + C * pm1, p
+        p, pm1 = (A[k] * tt + B[k]) * p + C[k] * pm1, p
         k += 1
     return out
 

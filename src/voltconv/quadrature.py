@@ -15,6 +15,7 @@ push that floor three orders down.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
@@ -47,16 +48,8 @@ class QuadRule:
 
 def _jacobi_pair(basis: BasisSpec, x: np.ndarray, n: int):
     """(p_n(x), p_{n-1}(x)) by forward recurrence, in x's dtype."""
-    dt = x.dtype.type
-    pm1 = np.ones_like(x)
-    A0, B0, _ = bases.recurrence_abc(basis, 0, dt)
-    p = A0 * x + B0
-    if n == 1:
-        return p, pm1
-    for k in range(1, n):
-        A, B, C = bases.recurrence_abc(basis, k, dt)
-        p, pm1 = (A * x + B) * p + C * pm1, p
-    return p, pm1
+    pnm1, pn = deque(bases.forward(basis, x, n), maxlen=2)
+    return pn, pnm1
 
 
 def _jacobi_deriv(alpha: float, beta: float, x, pn, pnm1, n: int):

@@ -79,14 +79,20 @@ def _to_canonical(series: PolySeries, points: np.ndarray) -> np.ndarray:
 
 
 def clenshaw(basis: BasisSpec, coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Backward-recurrence summation of sum_k c_k p_k(y) for any basis."""
-    K = len(coeffs) - 1
+    """Backward-recurrence summation of sum_k c_k p_k(y) for any basis.
+
+    Runs in y's dtype (float64 or longdouble): the coefficients and the
+    recurrence table are cast to it.
+    """
+    y = np.asarray(y)
+    y = y.astype(np.result_type(y, float), copy=False)
+    c = np.asarray(coeffs).astype(y.dtype)
+    K = len(c) - 1
+    A, B, C = bases.recurrence_abc(basis, np.arange(K + 2), y.dtype.type)
     bk1 = np.zeros_like(y)
     bk2 = np.zeros_like(y)
     for k in range(K, -1, -1):
-        A, B, _ = bases.recurrence_abc(basis, k)
-        _, _, Cn = bases.recurrence_abc(basis, k + 1)
-        bk1, bk2 = coeffs[k] + (A * y + B) * bk1 + Cn * bk2, bk1
+        bk1, bk2 = c[k] + (A[k] * y + B[k]) * bk1 + C[k + 1] * bk2, bk1
     return bk1
 
 
@@ -139,13 +145,8 @@ def indefinite_integral_cheb(coeffs) -> np.ndarray:
     j = np.arange(2, J + 2)
     out[2:] = (ap[j - 1] - ap[j + 1]) / (2.0 * j)
     signs = np.where(np.arange(1, J + 2) % 2 == 1, 1.0, -1.0)
-    out[0] = np.dot(signs, out[1:])
+    out[0] = math.fsum(signs * out[1:])
     return out
-
-
-def basis_value_at_minus_one(basis: BasisSpec, n: int) -> float:
-    """p_n(-1) for the finite-interval bases."""
-    return bases.value_at_minus_one(basis, n)
 
 
 def _chop(c: np.ndarray, rel_tol: float) -> np.ndarray:

@@ -18,7 +18,7 @@ import scipy.linalg
 import json
 
 from . import convmat, laguerre
-from .errors import ArgumentError, DimensionError, DomainMismatchError, SingularSystemError
+from .errors import DimensionError, DomainMismatchError, SingularSystemError
 from .series import PolySeries, series_from_json, series_to_json
 
 _PIVOT_RTOL = 1e-14
@@ -117,8 +117,6 @@ def solve_second_kind(problem: VolterraProblem, N: int) -> PolySeries:
     I - R^N, tailors the rhs coefficients to length N+1 and solves by dense
     partial-pivot elimination.
     """
-    if N < 0:
-        raise ArgumentError("N must be >= 0")
     a, b = problem.domain
     R = convmat.build(problem.kernel.basis, problem.kernel.coeffs, N,
                       scale=(b - a) / 2.0)

@@ -46,6 +46,28 @@ class TestSubcommands:
         np.testing.assert_allclose(evaluate(s, xs), 0.5 * xs**2 * np.exp(-xs),
                                    atol=1e-15)
 
+    @pytest.mark.parametrize("expr", [
+        "().__class__.__base__.__subclasses__()",
+        "x + 0*().__class__.__base__.__subclasses__().__len__()",
+        "np.linalg.norm(x)", "__import__('os')", "sin(x, x)", "x +"])
+    def test_fit_rejects_non_whitelisted(self, tmp_path, capsys, expr):
+        req = tmp_path / "req.json"
+        req.write_text(json.dumps({"expr": expr, "domain": [0, 2]}))
+        out = tmp_path / "f.json"
+        assert run(["fit", "--in", str(req), "--out", str(out)]) == 2
+        assert "invalid arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_numpy_ufunc_attribute(self, tmp_path):
+        outs = []
+        for expr in ("0.5*x**2*exp(-x)", "0.5*x**2*np.exp(-x)"):
+            req = tmp_path / "req.json"
+            req.write_text(json.dumps({"expr": expr, "domain": [0, 2]}))
+            out = tmp_path / "f.json"
+            assert run(["fit", "--in", str(req), "--out", str(out)]) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+
     def test_build_unit_matrix(self, tmp_path, one_json):
         out = tmp_path / "R.csv"
         assert run(["build", "--basis", "chebyshev", "--in", one_json,

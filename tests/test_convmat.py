@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from voltconv import bases, convmat, oracle
+from voltconv import bases, convmat, laguerre, oracle
 from voltconv.errors import (ArgumentError, DegenerateParameterError,
                              DimensionError)
 from voltconv.series import PolySeries, indefinite_integral_cheb
@@ -13,15 +13,17 @@ class TestColumnZero:
     def test_matches_indefinite_integral(self):
         rng = np.random.default_rng(0)
         a = rng.uniform(-1, 1, 9)  # M = 8
-        np.testing.assert_array_equal(convmat.cheb_column0(a),
-                                      indefinite_integral_cheb(a))
+        np.testing.assert_array_equal(
+            convmat.to_dense(convmat.build_chebyshev(a, 0))[:, 0],
+            indefinite_integral_cheb(a))
 
     def test_constant(self):
-        np.testing.assert_allclose(convmat.cheb_column0([1.0]), [1, 1], atol=0)
+        np.testing.assert_allclose(
+            convmat.to_dense(convmat.build_chebyshev([1.0], 0))[:, 0], [1, 1], atol=0)
 
     def test_empty_raises(self):
         with pytest.raises(ArgumentError):
-            convmat.cheb_column0([])
+            convmat.build_chebyshev([], 0)
 
 
 class TestAnalyticMatrices:
@@ -48,9 +50,9 @@ class TestAnalyticMatrices:
 
 class TestTables:
     def test_gegenbauer_S_values(self):
-        assert convmat.gegenbauer_S(0.5, 0) == pytest.approx(-1.0, abs=1e-15)
-        assert convmat.gegenbauer_S(0.5, 3) == 0.0
-        assert convmat.gegenbauer_S(2.0, 0) == pytest.approx(-4.0, abs=1e-15)
+        assert bases.gegenbauer_S_array(0.5, 0)[0] == pytest.approx(-1.0, abs=1e-15)
+        assert bases.gegenbauer_S_array(0.5, 3)[3] == 0.0
+        assert bases.gegenbauer_S_array(2.0, 0)[0] == pytest.approx(-4.0, abs=1e-15)
 
     def test_jacobi_symmetric_kills_B(self):
         t = convmat.jacobi_tables(1.0, 1.0, 8)
@@ -60,13 +62,14 @@ class TestTables:
         t = convmat.jacobi_tables(0.0, 0.0, 8)
         assert t.A[1] == pytest.approx(1.0, abs=1e-15)
         assert t.C[0] == pytest.approx(-1 / 3, abs=1e-15)
-        # merged S_0 - B_0 slot; matches the Gegenbauer constant at lam = 1/2
-        assert t.S[0] == pytest.approx(-1.0, abs=1e-15)
-        assert np.all(t.S[1:] == 0.0)
+        # merged S_0 - B_0 slot over A_1 = 1; matches the Gegenbauer constant
+        # at lam = 1/2
+        assert t.shat[0] == pytest.approx(-1.0, abs=1e-15)
+        assert np.all(t.shat[1:] == 0.0)
 
     def test_all_finite(self):
         t = convmat.jacobi_tables(2.0, 1.5, 64)
-        for arr in (t.A, t.B, t.C, t.S):
+        for arr in (t.A, t.B, t.C, t.shat):
             assert np.all(np.isfinite(arr))
 
     def test_degenerate_line_rejected(self):
@@ -230,3 +233,33 @@ class TestApply:
             e = np.zeros(n + 1)
             e[n] = 1.0
             np.testing.assert_allclose(convmat.apply(R, e), D[:, n], atol=0)
+
+
+BUILDERS = {
+    "stable": lambda a, N: convmat.build(bases.chebyshev(), a, N),
+    "naive": convmat.build_chebyshev_naive,
+    "laguerre": laguerre.build_laguerre,
+}
+
+
+@pytest.mark.parametrize("builder", list(BUILDERS))
+class TestInputValidation:
+    def test_2d_kernel(self, builder):
+        with pytest.raises(DimensionError, match="1-D"):
+            BUILDERS[builder](np.ones((2, 3)), 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_kernel(self, builder, bad):
+        with pytest.raises(ArgumentError):
+            BUILDERS[builder]([1.0, bad, 0.5], 4)
+
+    @pytest.mark.parametrize("N", [True, 2.5])
+    def test_non_integer_N(self, builder, N):
+        with pytest.raises(ArgumentError):
+            BUILDERS[builder]([1.0, 0.5], N)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf])
+def test_nonfinite_scale(scale):
+    with pytest.raises(ArgumentError):
+        convmat.build(bases.chebyshev(), [1.0, 0.5], 4, scale=scale)

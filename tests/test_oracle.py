@@ -122,7 +122,7 @@ class TestReports:
         cols = oracle.conv_coeff_block(f, 50)
         naive = convmat.build_chebyshev_naive(a, 50)
         stable = convmat.build_chebyshev(a, 50)
-        rep_n = oracle.compare_dense(naive, cols)
+        rep_n = oracle.compare_entrywise(naive, cols)
         rep_s = oracle.compare_entrywise(stable, cols)
         assert rep_n.max_abs >= 1e3
         assert rep_s.max_abs <= 1e-13

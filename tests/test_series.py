@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from voltconv import bases, quadrature
 from voltconv.errors import ArgumentError, DomainError, NonResolutionError
-from voltconv.series import (ChopRule, PolySeries, basis_value_at_minus_one,
-                             chebyshev_points, evaluate, fit_chebyshev,
-                             indefinite_integral_cheb, series_from_csv,
-                             series_from_json, series_to_csv, series_to_json,
-                             vals2coeffs)
+from voltconv.series import (ChopRule, PolySeries, chebyshev_points, evaluate,
+                             fit_chebyshev, indefinite_integral_cheb,
+                             series_from_csv, series_from_json, series_to_csv,
+                             series_to_json, vals2coeffs)
 
 
 class TestEvaluate:
@@ -76,29 +75,31 @@ class TestEvaluate:
 
 class TestValueAtMinusOne:
     def test_chebyshev(self):
-        assert basis_value_at_minus_one(bases.chebyshev(), 7) == -1.0
+        assert bases.values_at_minus_one(bases.chebyshev(), 7)[7] == -1.0
 
     def test_gegenbauer_poch(self):
         # (2 lam)_2 / 2! = 4*5/2 = 10 at lam = 2
-        assert basis_value_at_minus_one(bases.gegenbauer(2.0), 2) == pytest.approx(10.0, rel=1e-14)
+        got = bases.values_at_minus_one(bases.gegenbauer(2.0), 2)[2]
+        assert got == pytest.approx(10.0, rel=1e-14)
 
     def test_jacobi(self):
-        assert basis_value_at_minus_one(bases.jacobi(2.0, 1.5), 1) == pytest.approx(-2.5, rel=1e-14)
+        got = bases.values_at_minus_one(bases.jacobi(2.0, 1.5), 1)[1]
+        assert got == pytest.approx(-2.5, rel=1e-14)
 
     def test_gegenbauer_half_matches_legendre(self):
         for n in range(51):
-            v = basis_value_at_minus_one(bases.gegenbauer(0.5), n)
+            v = bases.values_at_minus_one(bases.gegenbauer(0.5), n)[n]
             assert v == pytest.approx((-1.0) ** n, rel=1e-13)
 
     def test_laguerre_unsupported(self):
         from voltconv.errors import UnsupportedBasisError
         with pytest.raises(UnsupportedBasisError):
-            basis_value_at_minus_one(bases.weighted_laguerre(), 3)
+            bases.values_at_minus_one(bases.weighted_laguerre(), 3)
 
     def test_matches_recurrence_evaluation(self, finite_basis):
         V = bases.poly_vandermonde(finite_basis, np.array([-1.0]), 30)[0]
         for n in (0, 1, 5, 17, 30):
-            got = basis_value_at_minus_one(finite_basis, n)
+            got = bases.values_at_minus_one(finite_basis, n)[n]
             assert got == pytest.approx(V[n], rel=1e-11, abs=1e-13)
 
 
