@@ -12,11 +12,14 @@ diagonal / row:
   region B        superdiagonal band, mirrored from region A through the
                   rescaling symmetry of the (N-M) x (N-M) inner submatrix
   region C        dense top rows including row 0, recast recursion swept
-                  upward row by row, extended into a triangular padding
-                  strip beyond column N so each row's domain of dependence
-                  is complete; only column 1's top entry comes from the
-                  endpoint boundary sum (the recast forms are singular at
-                  n = 1 for Chebyshev)
+                  upward row by row over padded columns up to N+M+1 so each
+                  row's domain of dependence is complete; it starts from
+                  the dense rows M+1 and M+2, which region B extends past
+                  the band into the padded columns; only column 1's top
+                  entry comes from the endpoint boundary sum (the recast
+                  forms are singular at n = 1 for Chebyshev)
+
+Every reader of the packed storage lives in this module.
 
 The naive single-recursion builder is kept for error-growth studies; above
 the main diagonal its multipliers exceed 1 and roundoff snowballs.
@@ -50,9 +53,11 @@ class ConvMatrix:
 
     top[k, n]          = R_{k,n} for rows k = 0..M (dense block)
     band[k-n+M+1, n]   = R_{k,n} for rows k >= M+1 with |k-n| <= M+1
-    Everything else is a structural zero.  ``scale`` is the domain-length
-    Jacobian applied by apply()/to_dense(); the stored entries are always
-    for the canonical interval.
+    top is (M+1, N+1); band is (2M+3, N+1), LAPACK general-band storage
+    (l = u = M+1) of R's rows >= M+1, with zeros wherever k <= M or
+    k > M+N+1.  Everything else is a structural zero.  ``scale`` is the
+    domain-length Jacobian applied by apply()/to_dense(); the stored
+    entries are always for the canonical interval.
     """
 
     basis: BasisSpec
@@ -184,11 +189,16 @@ def _kernel_and_size(a, N):
         raise ArgumentError("kernel coefficient array must be nonempty")
     if not np.all(np.isfinite(a)):
         raise ArgumentError("kernel coefficients must be finite")
+    return a, _size(N)
+
+
+def _size(N) -> int:
+    """N as an int >= 0; bools and non-integral numbers are rejected."""
     if isinstance(N, (bool, np.bool_)) or not isinstance(N, numbers.Integral):
         raise ArgumentError(f"N must be an integer (got {N!r})")
     if N < 0:
         raise ArgumentError("N must be >= 0")
-    return a, int(N)
+    return int(N)
 
 
 def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
@@ -215,37 +225,28 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
         raise UnsupportedBasisError(basis.kind)
 
     col0 = _column0(basis, a, tables)
-    top = np.zeros((M + 1, Wp + 1))
-    strip = np.zeros((2, Wp + 1))        # rows M+1, M+2 across all padded columns
+    # rows 0..M+2 over the padded columns: rows M+1 and M+2 repeat the band's
+    # and extend it past column W for region C; only rows 0..M are returned
+    top = np.zeros((M + 3, Wp + 1))
     band = np.zeros((2 * M + 3, W + 1))  # rows >= M+1, |k-n| <= M+1, cols 0..W
-
-    def scatter(c, vec):
-        # vec holds rows c..c+M+1 of column c
-        ktop = min(M, c + M + 1)
-        if c <= M:
-            top[c:ktop + 1, c] = vec[:ktop - c + 1]
-        lo = max(c, M + 1)
-        band[lo - c + M + 1: 2 * M + 3, c] = vec[lo - c:]
-        for r in (M + 1, M + 2):
-            if c <= r <= c + M + 1:
-                strip[r - M - 1, c] = vec[r - c]
-    # column 0 occupies rows 0..M+1 only
-    top[:, 0] = col0[:M + 1]
+    top[:M + 1, 0] = col0[:M + 1]
     band[2 * M + 2, 0] = col0[M + 1]   # row M+1, column 0 (offset M+1)
-    strip[0, 0] = col0[M + 1]
 
-    # region A: columns 1..W, rows c..c+M+1, forward recursion
-    prev2 = None     # rows c-2 .. c+M-1 of column c-2
-    prev = col0      # rows c-1 .. c+M   of column c-1 (col 0 is rows 0..M+1)
-    z2 = np.zeros(2)
+    # region A: columns 1..W, rows c..c+M+1, forward recursion.  Each column's
+    # rows c-1..c+M sit in a local vector followed by two zeros, so the
+    # k-1, k, k+1 and shift-by-2 neighbours are plain slices of it.
+    c0p = np.zeros(W + M + 2)            # column 0, zero-padded
+    c0p[:M + 2] = col0
+    kf = np.arange(W + M + 2, dtype=float)
+    prev2 = np.zeros(M + 4)  # rows c-2 .. c+M-1 of column c-2, then two zeros
+    prev = np.zeros(M + 4)   # rows c-1 .. c+M   of column c-1, then two zeros
+    prev[:M + 2] = col0
     for c in range(1, W + 1):
-        km1 = prev                                  # rows c-1..c+M
-        kp1 = np.concatenate([prev[2:], z2])        # rows c+1..c+M+2
+        km1, curk, kp1 = prev[:M + 2], prev[1:M + 3], prev[2:]
+        sh2 = prev2[2:]                             # rows c..c+M+1 of column c-2
+        c0s = c0p[c:c + M + 2]
         if basis.kind == bases.CHEBYSHEV:
-            k = np.arange(c, c + M + 2, dtype=float)
-            c0s = col0[c:c + M + 2] if c <= M + 1 else np.zeros(M + 2)
-            if c0s.size < M + 2:
-                c0s = np.concatenate([c0s, np.zeros(M + 2 - c0s.size)])
+            k = kf[c:c + M + 2]
             if c == 1:
                 km1 = km1.copy()
                 km1[0] *= 2.0                       # term doubled when k = 1
@@ -255,53 +256,47 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
             else:
                 n = c - 1.0
                 cur = (2.0 * (-1.0) ** (c - 1) / (n - 1.0)) * c0s \
-                    + (c / (n - 1.0)) * _shift2(prev2, M) \
+                    + (c / (n - 1.0)) * sh2 \
                     + (c / k) * (km1 - kp1)
         else:
             A, B, C, shat = tables.A, tables.B, tables.C, tables.shat
-            k = np.arange(c, c + M + 2)
-            c0s = col0[c:c + M + 2] if c <= M + 1 else np.zeros(M + 2)
-            if c0s.size < M + 2:
-                c0s = np.concatenate([c0s, np.zeros(M + 2 - c0s.size)])
+            k = slice(c, c + M + 2)
             invAc = 1.0 / A[c]
-            curk = np.concatenate([prev[1:], z2[:1]])   # rows c..c+M+1 of col c-1
             cur = ((B[k] - B[c - 1]) * invAc) * curk \
                 + (A[k] * invAc) * km1 \
                 + (C[k] * invAc) * kp1 \
                 + shat[c - 1] * c0s
             if c >= 2:
-                cur = cur - (C[c - 2] * invAc) * _shift2(prev2, M)
-        scatter(c, cur)
-        prev2, prev = prev, cur
+                cur = cur - (C[c - 2] * invAc) * sh2
+        if c <= M:
+            top[c:M + 1, c] = cur[:M + 1 - c]
+        lo = max(c, M + 1)
+        band[lo - c + M + 1:, c] = cur[lo - c:]
+        prev2[:M + 2] = cur       # the buffer of column c-2 now holds column c
+        prev2, prev = prev, prev2
 
-    # region B: superdiagonal band by symmetry, including the strip extension
-    _fill_region_b(basis, M, W, Wp, band, strip)
+    # region B: superdiagonal band by symmetry, then the dense rows M+1, M+2
+    _fill_region_b(basis, M, W, Wp, band, top[M + 1:])
 
     # region C: dense top rows swept upward by the recast recursion.  The
     # sweep includes row 0 (the k = 1 step, with the Chebyshev halving rule):
     # reconstructing row 0 from the boundary sum instead would amplify band
     # roundoff by the boundary weights, ~n^(2 lam - 1) for Gegenbauer.
-    _sweep_region_c(basis, tables, M, N, col0, top, strip, banded)
+    _sweep_region_c(basis, tables, M, N, col0, top, banded)
 
     # the recast forms are singular at n = 1 for Chebyshev, so column 1's
     # top entry comes from the boundary sum over its nonzero rows 1..M+2
     if N >= 1:
         wts = bases.boundary_weights(basis, M + 2)
-        col1 = np.array([_entry_internal(top, band, strip, M, j, 1)
-                         for j in range(1, M + 3)])
-        top[0, 1] = math.fsum(wts[1:] * col1)
+        top[0, 1] = math.fsum(wts[1:] * top[1:, 1])
 
     return ConvMatrix(basis, M, N, float(scale),
-                      np.ascontiguousarray(top[:, :N + 1]),
+                      np.ascontiguousarray(top[:M + 1, :N + 1]),
                       np.ascontiguousarray(band[:, :N + 1]))
 
 
-def _shift2(prev2: np.ndarray, M: int) -> np.ndarray:
-    # rows c..c+M+1 of column c-2 (whose own range is rows c-2..c+M-1)
-    return np.concatenate([prev2[2:], np.zeros(2)])
-
-
-def _fill_region_b(basis, M, W, Wp, band, strip):
+def _fill_region_b(basis, M, W, Wp, band, pad):
+    """Mirror the superdiagonal band, then fill pad with R's rows M+1, M+2."""
     ratio = _ratio_factors(basis, Wp)
     for o in range(1, M + 2):                  # superdiagonal offset n - k
         klo, khi = M + 1, W - o
@@ -309,13 +304,12 @@ def _fill_region_b(basis, M, W, Wp, band, strip):
             mirror = band[o + M + 1, klo:khi + 1]          # R_{k+o, k}
             rho = ratio(klo, khi, o)
             band[M + 1 - o, klo + o:khi + o + 1] = rho * mirror
-    # strip rows M+1 / M+2 beyond the band storage (padded columns)
-    for r in (M + 1, M + 2):
-        strip[r - M - 1, :W + 1] = _band_row(band, M, W, r)
-        for c in range(W + 1, Wp + 1):
-            if c - r <= M + 1 and c >= r + 1:
-                mirror = band[c - r + M + 1, r]            # R_{c, r}
-                strip[r - M - 1, c] = ratio(r, r, c - r)[0] * mirror
+    for i, r in enumerate((M + 1, M + 2)):
+        n = np.arange(r - M - 1, min(W, r + M + 1) + 1)
+        pad[i, n] = band[r - n + M + 1, n]
+        for c in range(W + 1, r + M + 2):     # W >= M+2, so only when N < 2M+3
+            mirror = band[c - r + M + 1, r]                # R_{c, r}
+            pad[i, c] = ratio(r, r, c - r)[0] * mirror
 
 
 def _ratio_factors(basis, nmax):
@@ -352,28 +346,7 @@ def _ratio_factors(basis, nmax):
     return fac
 
 
-def _band_row(band, M, W, k):
-    """Row k (>= M+1) of the banded part as a length W+1 dense vector."""
-    out = np.zeros(W + 1)
-    nlo = max(0, k - (M + 1))
-    nhi = min(W, k + M + 1)
-    if nlo <= nhi:
-        n = np.arange(nlo, nhi + 1)
-        out[nlo:nhi + 1] = band[k - n + M + 1, n]
-    return out
-
-
-def _entry_internal(top, band, strip, M, k, n):
-    if k <= M:
-        return top[k, n]
-    if k in (M + 1, M + 2):
-        return strip[k - M - 1, n]
-    if abs(k - n) <= M + 1:
-        return band[k - n + M + 1, n]
-    return 0.0
-
-
-def _sweep_region_c(basis, tables, M, N, col0, top, strip, banded):
+def _sweep_region_c(basis, tables, M, N, col0, top, banded):
     nmax = N + M  # largest column index any row's sweep can touch
     nfull = np.arange(nmax + 2, dtype=float)
     cheb = basis.kind == bases.CHEBYSHEV
@@ -395,8 +368,7 @@ def _sweep_region_c(basis, tables, M, N, col0, top, strip, banded):
         sl = slice(nlo, nhi + 1)
         slm = slice(nlo - 1, nhi)
         slp = slice(nlo + 1, nhi + 2)
-        rowk = top[k] if k <= M else strip[k - M - 1]
-        rowk1 = top[k + 1] if k + 1 <= M else strip[k + 1 - M - 1]
+        rowk, rowk1 = top[k], top[k + 1]
         rk0 = col0[k] if k <= M + 1 else 0.0
         if cheb:
             vals = (k * rk0) * sgn_sq[sl] \
@@ -489,6 +461,41 @@ def build_chebyshev_naive(a, N: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # application and export
 
+def _diagonals(M: int, nrows: int, ncols: int):
+    """(o, nlo, nhi) per band row o+M+1 with entries R_{n+o, n} in the block.
+
+    The block is rows M+1..nrows-1 and columns 0..ncols-1; n runs nlo..nhi.
+    """
+    for o in range(-(M + 1), M + 2):
+        nlo = max(0, M + 1 - o)
+        nhi = min(ncols - 1, nrows - 1 - o)
+        if nlo <= nhi:
+            yield o, nlo, nhi
+
+
+def _dense(R: ConvMatrix, nrows: int, ncols: int) -> np.ndarray:
+    """Scaled leading nrows x ncols block of R as a dense array."""
+    M = R.M
+    out = np.zeros((nrows, ncols))
+    ktop = min(M + 1, nrows)
+    out[:ktop] = R.top[:ktop, :ncols]
+    for o, nlo, nhi in _diagonals(M, nrows, ncols):
+        n = np.arange(nlo, nhi + 1)
+        out[n + o, n] = R.band[o + M + 1, nlo:nhi + 1]
+    out *= R.scale
+    return out
+
+
+def _column(R: ConvMatrix, n: int, dtype=float) -> np.ndarray:
+    """Unscaled column n (rows 0..M+N+1) in the given dtype."""
+    M, N = R.M, R.N
+    out = np.zeros(M + N + 2, dtype=dtype)
+    out[:M + 1] = R.top[:, n]
+    klo = max(M + 1, n - (M + 1))
+    out[klo:n + M + 2] = R.band[klo - n + M + 1:, n]
+    return out
+
+
 def apply(R: ConvMatrix, b) -> np.ndarray:
     """c = scale * (R b); touches only stored entries.
 
@@ -500,28 +507,13 @@ def apply(R: ConvMatrix, b) -> np.ndarray:
     if b.size > R.N + 1:
         raise DimensionError(f"b has {b.size} entries; at most {R.N + 1} allowed")
     M, N = R.M, R.N
-    Lb = b.size
     out = np.zeros(M + N + 2)
-    out[:M + 1] = R.top[:, :Lb] @ b
-    for o in range(-(M + 1), M + 2):
-        nlo = max(0, M + 1 - o)
-        nhi = min(Lb - 1, M + N + 1 - o)
-        if nlo > nhi:
-            continue
+    out[:M + 1] = R.top[:, :b.size] @ b
+    for o, nlo, nhi in _diagonals(M, M + N + 2, b.size):
         out[nlo + o:nhi + o + 1] += R.band[o + M + 1, nlo:nhi + 1] * b[nlo:nhi + 1]
     return R.scale * out
 
 
 def to_dense(R: ConvMatrix) -> np.ndarray:
     """Dense (M+N+2) x (N+1) array with exact zeros outside the structure."""
-    M, N = R.M, R.N
-    out = np.zeros((M + N + 2, N + 1))
-    out[:M + 1] = R.top
-    for o in range(-(M + 1), M + 2):
-        nlo = max(0, M + 1 - o)
-        nhi = min(N, M + N + 1 - o)
-        if nlo > nhi:
-            continue
-        n = np.arange(nlo, nhi + 1)
-        out[n + o, n] = R.band[o + M + 1, nlo:nhi + 1]
-    return R.scale * out
+    return _dense(R, *R.shape)

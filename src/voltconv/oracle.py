@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bases, quadrature
 from .bases import BasisSpec
-from .convmat import ConvMatrix, to_dense
+from .convmat import ConvMatrix, _column, to_dense
 from .errors import DimensionError, DomainMismatchError, OversizeError
 from .prng import SplitMix64
 from .quadrature import LD
@@ -67,16 +67,8 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
     q = (M + N) // 2 + 2              # inner Gauss-Legendre nodes (exact)
     al, be = bases.weight_parameters(f.basis)
     proj = quadrature.cached_gauss_jacobi(al, be, J, extended=extended)
-    gl = quadrature.cached_gauss_legendre(q, extended=extended)
     y, W = proj.x, proj.w
-    xi, om = gl.x, gl.w
-
-    # t grid: [-1, y_j] mapped Gauss-Legendre nodes; s = f's argument
-    half = (y + 1)[:, None] / 2
-    t = -1 + half * (xi + 1)[None, :]
-    s = y[:, None] - 1 - t
-    F = clenshaw(f.basis, f.coeffs, s)
-    G = F * om[None, :] * half        # includes the interval jacobian
+    t, G = _kernel_on_grid(f, y, q, extended)
 
     # H[j, n] = h_n(y_j) accumulated from the p_n recurrence over the t grid
     H = np.empty((J, N + 1), dtype=y.dtype)
@@ -94,6 +86,19 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
     for n in range(N + 1):
         out[M + n + 2:, n] = 0.0
     return out
+
+
+def _kernel_on_grid(f: PolySeries, y: np.ndarray, q: int, extended: bool):
+    """q-point Gauss-Legendre nodes t on each [-1, y_j] and the weights G.
+
+    G[j, i] = f(y_j - 1 - t_ji) w_i (y_j + 1) / 2, so that
+    sum_i G[j, i] g(t_ji) is the rule for int_{-1}^{y_j} f(y_j - 1 - t) g(t) dt.
+    """
+    gl = quadrature.cached_gauss_legendre(q, extended=extended)
+    half = (y + 1)[:, None] / 2
+    t = -1 + half * (gl.x + 1)[None, :]
+    F = clenshaw(f.basis, f.coeffs, y[:, None] - 1 - t)
+    return t, F * gl.w[None, :] * half
 
 
 def conv_coeff_oracle(f: PolySeries, n: int, extended: bool = False) -> np.ndarray:
@@ -176,25 +181,16 @@ def sampled_value_errors(R: ConvMatrix, f: PolySeries, n_samples: int,
     rows = rng.integers(n_samples, M + N + 1)
     y = np.cos(PI_LD * rows.astype(LD) / LD(M + N + 1))
 
-    q = (M + N) // 2 + 2
-    gl = quadrature.cached_gauss_legendre(q, extended=True)
-    xi, om = gl.x, gl.w
-
     # oracle side: h_n(y) = int_{-1}^{y} f(y-1-t) p_n(t) dt
-    half = (y + 1)[:, None] / 2
-    t = -1 + half * (xi + 1)[None, :]
-    s = y[:, None] - 1 - t
-    F = clenshaw(f.basis, f.coeffs, s)
-    G = F * om[None, :] * half
+    t, G = _kernel_on_grid(f, y, (M + N) // 2 + 2, True)
     P = _pn_rows(f.basis, t, ncols)
     oracle_vals = np.sum(G * P, axis=1)
 
     # series side from the stored columns, evaluated in extended precision
     V = bases.poly_vandermonde(f.basis, y, M + N + 1)
     errs = np.empty(n_samples)
-    dense_cols = _columns_extended(R)
     for i in range(n_samples):
-        got = np.sum(V[i] * dense_cols(int(ncols[i])))
+        got = np.sum(V[i] * _column(R, int(ncols[i]), LD))
         raw = LD(abs(R.scale)) * abs(got - oracle_vals[i])
         errs[i] = float(raw / max(LD(1.0), abs(oracle_vals[i])))
     info = {"basis": R.basis.label(), "M": M, "N": N, "seed": seed,
@@ -244,23 +240,6 @@ def _pn_rows(basis: BasisSpec, t: np.ndarray, ncols: np.ndarray) -> np.ndarray:
         p, pm1 = (A[k] * tt + B[k]) * p + C[k] * pm1, p
         k += 1
     return out
-
-
-def _columns_extended(R: ConvMatrix):
-    """Column extractor returning unscaled stored columns as longdouble."""
-    M, N = R.M, R.N
-
-    def col(n: int) -> np.ndarray:
-        out = np.zeros(M + N + 2, dtype=LD)
-        out[:M + 1] = R.top[:, n]
-        klo = max(M + 1, n - (M + 1))
-        khi = min(M + N + 1, n + M + 1)
-        if klo <= khi:
-            k = np.arange(klo, khi + 1)
-            out[klo:khi + 1] = R.band[k - n + M + 1, n]
-        return out
-
-    return col
 
 
 def report_to_csv(report: ErrorReport) -> str:

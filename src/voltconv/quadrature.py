@@ -46,18 +46,15 @@ class QuadRule:
         return self.x.astype(float), self.w.astype(float)
 
 
-def _jacobi_pair(basis: BasisSpec, x: np.ndarray, n: int):
-    """(p_n(x), p_{n-1}(x)) by forward recurrence, in x's dtype."""
+def _newton_step(basis: BasisSpec, alpha: float, beta: float, x: np.ndarray, n: int):
+    """(p_n / p_n', p_n') at x, in x's dtype, from one forward recurrence."""
     pnm1, pn = deque(bases.forward(basis, x, n), maxlen=2)
-    return pn, pnm1
-
-
-def _jacobi_deriv(alpha: float, beta: float, x, pn, pnm1, n: int):
     dt = x.dtype.type
     a, b = dt(alpha), dt(beta)
     s = 2 * dt(n) + a + b
-    return (dt(n) * ((a - b) - s * x) * pn
-            + 2 * (dt(n) + a) * (dt(n) + b) * pnm1) / (s * (1 - x * x))
+    dp = (dt(n) * ((a - b) - s * x) * pn
+          + 2 * (dt(n) + a) * (dt(n) + b) * pnm1) / (s * (1 - x * x))
+    return pn / dp, dp
 
 
 def _newton_nodes(basis: BasisSpec, n: int, alpha: float, beta: float) -> np.ndarray:
@@ -69,18 +66,14 @@ def _newton_nodes(basis: BasisSpec, n: int, alpha: float, beta: float) -> np.nda
     edges[0], edges[-1] = 1.0, -1.0
     hi, lo = edges[:-1], edges[1:]
     for _ in range(_MAX_NEWTON):
-        pn, pnm1 = _jacobi_pair(basis, x, n)
-        dp = _jacobi_deriv(alpha, beta, x, pn, pnm1, n)
-        dx = pn / dp
+        dx, _ = _newton_step(basis, alpha, beta, x, n)
         x = np.clip(x - dx, lo, hi)
         if np.max(np.abs(dx)) < 1e-14:
             break
     else:
         raise ConvergenceError(f"Gauss nodes failed to converge for n={n}")
     for _ in range(2):
-        pn, pnm1 = _jacobi_pair(basis, x, n)
-        dp = _jacobi_deriv(alpha, beta, x, pn, pnm1, n)
-        x = x - pn / dp
+        x = x - _newton_step(basis, alpha, beta, x, n)[0]
     return x[::-1].copy()  # ascending
 
 
@@ -145,16 +138,13 @@ def gauss_jacobi(alpha: float, beta: float, n: int,
     if extended:
         x = x.astype(LD)
         for _ in range(3):
-            pn, pnm1 = _jacobi_pair(basis, x, n)
-            dp = _jacobi_deriv(alpha, beta, x, pn, pnm1, n)
-            x = x - pn / dp
+            x = x - _newton_step(basis, alpha, beta, x, n)[0]
         xe = x
     else:
         # weights from an extended-precision derivative pass: the plain
         # recurrence loses ~n*eps of relative weight accuracy at large n
         xe = x.astype(LD)
-    pn, pnm1 = _jacobi_pair(basis, xe, n)
-    dp = _jacobi_deriv(alpha, beta, xe, pn, pnm1, n)
+    _, dp = _newton_step(basis, alpha, beta, xe, n)
     cn = _norm_const(alpha, beta, n, LD)
     w = cn / ((1 - xe * xe) * dp * dp)
     if not extended:

@@ -49,6 +49,8 @@ class PolySeries:
         c = np.array(self.coeffs, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ArgumentError("coeffs must be a nonempty 1-D array")
+        if not np.all(np.isfinite(c)):
+            raise ArgumentError("coeffs must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
         a, b = self.domain

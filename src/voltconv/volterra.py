@@ -81,25 +81,11 @@ def convolve(f: PolySeries, g: PolySeries) -> PolySeries:
 
 def truncate_square(R: convmat.ConvMatrix, N: int) -> np.ndarray:
     """Dense leading (N+1) x (N+1) block of the scaled matrix."""
-    if N < 0:
-        raise DimensionError("N must be >= 0")
-    if R.N + 1 < N + 1 or R.M + R.N + 2 < N + 1:
+    N = convmat._size(N)
+    if N > R.N:
         raise DimensionError(
             f"matrix of shape {R.shape} has no leading {N + 1} x {N + 1} block")
-    out = np.zeros((N + 1, N + 1))
-    M = R.M
-    ktop = min(M, N)
-    out[:ktop + 1] = R.top[:ktop + 1, :N + 1]
-    for o in range(-(M + 1), M + 2):
-        nlo = max(0, M + 1 - o)
-        nhi = min(N, min(N, M + R.N + 1) - o)
-        if nlo > nhi:
-            continue
-        n = np.arange(nlo, nhi + 1)
-        k = n + o
-        keep = k <= N
-        out[k[keep], n[keep]] = R.band[o + M + 1, nlo:nhi + 1][keep]
-    return R.scale * out
+    return convmat._dense(R, N + 1, N + 1)
 
 
 def tailor_rhs(coeffs: np.ndarray, N: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from voltconv import bases, convmat, laguerre, oracle
+from voltconv import bases, convmat, laguerre, oracle, volterra
 from voltconv.errors import (ArgumentError, DegenerateParameterError,
                              DimensionError)
 from voltconv.series import PolySeries, indefinite_integral_cheb
@@ -137,6 +137,36 @@ class TestStructure:
         R = convmat.build_chebyshev(np.ones(8), 30)
         assert R.shape == (7 + 30 + 2, 31)
         assert R.bandwidth == 8
+
+
+@pytest.mark.parametrize("M, N", [(0, 0), (3, 1), (5, 12), (10, 15)])
+class TestLayout:
+    """top and band as documented; N < 2M+3 runs the padded-column extension."""
+
+    def build(self, basis, M, N):
+        a = np.random.default_rng(M + 17 * N).uniform(-1, 1, M + 1)
+        return convmat.build(basis, a, N, scale=0.7)
+
+    def test_storage(self, finite_basis, M, N):
+        R = self.build(finite_basis, M, N)
+        assert R.top.shape == (M + 1, N + 1)
+        assert R.band.shape == (2 * M + 3, N + 1)
+        for arr in (R.top, R.band):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+        d, n = np.indices(R.band.shape)
+        k = d + n - (M + 1)                     # band[d, n] = R_{k, n}
+        assert np.all(R.band[(k < M + 1) | (k > M + N + 1)] == 0.0)
+
+    def test_readers_agree(self, finite_basis, M, N):
+        R = self.build(finite_basis, M, N)
+        D = convmat.to_dense(R)
+        assert D.shape == R.shape
+        for n in range(N + 1):
+            np.testing.assert_array_equal(R.scale * convmat._column(R, n), D[:, n])
+            for k in range(M + N + 2):
+                assert R.entry(k, n) == D[k, n]
+            np.testing.assert_array_equal(volterra.truncate_square(R, n),
+                                          D[:n + 1, :n + 1])
 
 
 class TestLegendreOracle:

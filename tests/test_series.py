@@ -44,6 +44,11 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             PolySeries(bases.weighted_laguerre(), (0, 1), [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_coeffs_rejected(self, bad):
+        with pytest.raises(ArgumentError):
+            PolySeries(bases.chebyshev(), (-1, 1), [bad, 1.0])
+
     def test_laguerre_negative_point_raises(self):
         s = PolySeries(bases.weighted_laguerre(), (0, math.inf), [1.0])
         with pytest.raises(DomainError):
@@ -230,3 +235,16 @@ class TestSerialization:
         t = series_from_json(series_to_json(s))
         x = np.linspace(-1, 1, 41)
         np.testing.assert_allclose(evaluate(t, x), evaluate(s, x), atol=1e-15)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_json_nonfinite_token_rejected(self, token):
+        text = ('{"basis": {"kind": "Chebyshev"}, "domain": [-1, 1], '
+                f'"coeffs": [1.0, {token}]}}')
+        with pytest.raises(ArgumentError):
+            series_from_json(text)
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    def test_csv_nonfinite_coeff_rejected(self, token):
+        text = f"# basis: Chebyshev\n# domain: -1 1\n1.0\n{token}\n"
+        with pytest.raises(ArgumentError):
+            series_from_csv(text)

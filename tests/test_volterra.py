@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from voltconv import bases, convmat, laguerre, oracle, volterra
-from voltconv.errors import DimensionError, DomainMismatchError, SingularSystemError
+from voltconv.errors import (ArgumentError, DimensionError, DomainMismatchError,
+                             SingularSystemError)
 from voltconv.series import PolySeries, evaluate, fit_chebyshev
 
 
@@ -99,6 +100,17 @@ class TestTruncateSquare:
         R = convmat.build_chebyshev([1.0], 2)
         with pytest.raises(DimensionError):
             volterra.truncate_square(R, 3)
+
+    @pytest.mark.parametrize("N", [True, 2.0, -1])
+    def test_non_integer_or_negative_N_raises(self, N):
+        R = convmat.build_chebyshev([1.0], 2)
+        with pytest.raises(ArgumentError):
+            volterra.truncate_square(R, N)
+
+    def test_numpy_integer_N(self):
+        R = convmat.build_chebyshev([1.0, 0.5], 4)
+        np.testing.assert_array_equal(volterra.truncate_square(R, np.int64(2)),
+                                      volterra.truncate_square(R, 2))
 
 
 class TestSolve:
