@@ -19,7 +19,9 @@ diagonal / row:
                   entry comes from the endpoint boundary sum (the recast
                   forms are singular at n = 1 for Chebyshev)
 
-Every reader of the packed storage lives in this module.
+Regions A and C read one RecurrenceTables per basis (Chebyshev's region A
+keeps its exact multipliers c/k).  Every reader of the packed storage
+lives in this module.
 
 The naive single-recursion builder is kept for error-growth studies; above
 the main diagonal its multipliers exceed 1 and roundoff snowballs.
@@ -104,6 +106,8 @@ class RecurrenceTables:
     ever appear through that difference (both are singular on
     alpha + beta = 0 while the difference is not), and storing the merged
     value keeps the tables finite and the column recursion uniform in n.
+    Chebyshev conventions: A[1] = 1 (the integral of T_0 is T_1, not
+    T_1 / 2), which gives region C's halving at k = 1, and C[0] = 0.
     """
 
     A: np.ndarray
@@ -155,6 +159,27 @@ def _gegenbauer_tables(lam: float, nmax: int) -> RecurrenceTables:
                             bases.gegenbauer_S_array(lam, nmax))
 
 
+def _chebyshev_tables(nmax: int) -> RecurrenceTables:
+    j = np.arange(nmax + 2, dtype=float)
+    A = np.concatenate([[0.0, 1.0], 0.5 / j[2:]])     # A_1 = 1, A_j = 1/(2j)
+    C = np.concatenate([[0.0], -0.5 / j[1:]])         # C_0 = 0, C_j = -1/(2j)
+    n = j[2:nmax + 1]
+    shat = np.concatenate([[-1.0, 1.0], np.where(n % 2 == 0, 2.0, -2.0) / (n - 1.0)])
+    return RecurrenceTables(A, np.zeros(nmax + 2), C, shat[:nmax + 1])
+
+
+def _tables(basis: BasisSpec, nmax: int) -> RecurrenceTables:
+    if basis.kind == bases.CHEBYSHEV:
+        return _chebyshev_tables(nmax)
+    if basis.kind == bases.LEGENDRE:
+        return _gegenbauer_tables(0.5, nmax)
+    if basis.kind == bases.GEGENBAUER:
+        return _gegenbauer_tables(basis.lam, nmax)
+    if basis.kind == bases.JACOBI:
+        return jacobi_tables(basis.alpha, basis.beta, nmax)
+    raise UnsupportedBasisError(basis.kind)
+
+
 # ---------------------------------------------------------------------------
 # column 0
 
@@ -192,12 +217,12 @@ def _kernel_and_size(a, N):
     return a, _size(N)
 
 
-def _size(N) -> int:
+def _size(N, name: str = "N") -> int:
     """N as an int >= 0; bools and non-integral numbers are rejected."""
     if isinstance(N, (bool, np.bool_)) or not isinstance(N, numbers.Integral):
-        raise ArgumentError(f"N must be an integer (got {N!r})")
+        raise ArgumentError(f"{name} must be an integer (got {N!r})")
     if N < 0:
-        raise ArgumentError("N must be >= 0")
+        raise ArgumentError(f"{name} must be >= 0")
     return int(N)
 
 
@@ -211,18 +236,11 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     M = a.size - 1
     W = max(N, M + 2)        # internal column count (symmetry mirrors need M+2)
     Wp = W + M + 1           # widest padded column touched by the region-C sweep
-    banded = basis.kind == bases.LEGENDRE
-
-    if basis.kind == bases.CHEBYSHEV:
-        tables = None
-    elif basis.kind == bases.LEGENDRE:
-        tables = _gegenbauer_tables(0.5, Wp + 1)
-    elif basis.kind == bases.GEGENBAUER:
-        tables = _gegenbauer_tables(basis.lam, Wp + 1)
-    elif basis.kind == bases.JACOBI:
-        tables = jacobi_tables(basis.alpha, basis.beta, Wp + 1)
-    else:
-        raise UnsupportedBasisError(basis.kind)
+    tables = _tables(basis, Wp + 1)
+    A, B, C, shat = tables.A, tables.B, tables.C, tables.shat
+    # shat_n = 0 for n >= 1 makes the column recursion homogeneous, so the
+    # top rows vanish beyond the band (Legendre, Gegenbauer(1/2), Jacobi(a, 0))
+    banded = not np.any(shat[1:])
 
     col0 = _column0(basis, a, tables)
     # rows 0..M+2 over the padded columns: rows M+1 and M+2 repeat the band's
@@ -244,8 +262,10 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     for c in range(1, W + 1):
         km1, curk, kp1 = prev[:M + 2], prev[1:M + 3], prev[2:]
         sh2 = prev2[2:]                             # rows c..c+M+1 of column c-2
-        c0s = c0p[c:c + M + 2]
+        k = slice(c, c + M + 2)
+        c0s = c0p[k]
         if basis.kind == bases.CHEBYSHEV:
+            # multipliers like c/k rounded once: A_k * (1/A_c) is less accurate
             k = kf[c:c + M + 2]
             if c == 1:
                 km1 = km1.copy()
@@ -254,13 +274,10 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
             elif c == 2:
                 cur = c0s + (2.0 / k) * (km1 - kp1)
             else:
-                n = c - 1.0
-                cur = (2.0 * (-1.0) ** (c - 1) / (n - 1.0)) * c0s \
-                    + (c / (n - 1.0)) * sh2 \
+                cur = shat[c - 1] * c0s \
+                    + (c / (c - 2.0)) * sh2 \
                     + (c / k) * (km1 - kp1)
         else:
-            A, B, C, shat = tables.A, tables.B, tables.C, tables.shat
-            k = slice(c, c + M + 2)
             invAc = 1.0 / A[c]
             cur = ((B[k] - B[c - 1]) * invAc) * curk \
                 + (A[k] * invAc) * km1 \
@@ -279,10 +296,10 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     _fill_region_b(basis, M, W, Wp, band, top[M + 1:])
 
     # region C: dense top rows swept upward by the recast recursion.  The
-    # sweep includes row 0 (the k = 1 step, with the Chebyshev halving rule):
+    # sweep includes row 0 (the k = 1 step; Chebyshev's A_1 = 1 halves it):
     # reconstructing row 0 from the boundary sum instead would amplify band
     # roundoff by the boundary weights, ~n^(2 lam - 1) for Gegenbauer.
-    _sweep_region_c(basis, tables, M, N, col0, top, banded)
+    _sweep_region_c(tables, M, N, col0, top, banded)
 
     # the recast forms are singular at n = 1 for Chebyshev, so column 1's
     # top entry comes from the boundary sum over its nonzero rows 1..M+2
@@ -346,19 +363,8 @@ def _ratio_factors(basis, nmax):
     return fac
 
 
-def _sweep_region_c(basis, tables, M, N, col0, top, banded):
-    nmax = N + M  # largest column index any row's sweep can touch
-    nfull = np.arange(nmax + 2, dtype=float)
-    cheb = basis.kind == bases.CHEBYSHEV
-    if cheb:
-        inv_m = np.zeros(nmax + 2)
-        inv_m[2:] = 1.0 / (nfull[2:] - 1.0)              # 1/(n-1)
-        inv_p = 1.0 / (nfull + 1.0)                      # 1/(n+1)
-        sgn_sq = np.zeros(nmax + 2)
-        sgn_sq[2:] = np.where(np.arange(2, nmax + 2) % 2 == 0, -2.0, 2.0) \
-            / (nfull[2:] * nfull[2:] - 1.0)              # -2(-1)^n/(n^2-1)
-    else:
-        A, B, C, shat = tables.A, tables.B, tables.C, tables.shat
+def _sweep_region_c(tables, M, N, col0, top, banded):
+    A, B, C, shat = tables.A, tables.B, tables.C, tables.shat
     for k in range(M + 1, 0, -1):
         r = k - 1
         nlo = max(k, 2)         # column 1 of row 0 is handled separately
@@ -370,21 +376,12 @@ def _sweep_region_c(basis, tables, M, N, col0, top, banded):
         slp = slice(nlo + 1, nhi + 2)
         rowk, rowk1 = top[k], top[k + 1]
         rk0 = col0[k] if k <= M + 1 else 0.0
-        if cheb:
-            vals = (k * rk0) * sgn_sq[sl] \
-                - k * (inv_m[sl] * rowk[slm]) \
-                + k * (inv_p[sl] * rowk[slp]) \
-                + rowk1[sl]
-            if k == 1:
-                vals *= 0.5     # the recast term is halved when k = 1
-        else:
-            invAk = 1.0 / A[k]
-            rhoA = invAk * A[nlo + 1:nhi + 2]
-            vals = rhoA * (rowk[slp] - shat[sl] * rk0) \
-                + (invAk * (B[sl] - B[k])) * rowk[sl] \
-                + (invAk * C[nlo - 1:nhi]) * rowk[slm] \
-                - (invAk * C[k]) * rowk1[sl]
-        top[r, sl] = vals
+        invAk = 1.0 / A[k]
+        rhoA = invAk * A[nlo + 1:nhi + 2]
+        top[r, sl] = rhoA * (rowk[slp] - shat[sl] * rk0) \
+            + (invAk * (B[sl] - B[k])) * rowk[sl] \
+            + (invAk * C[nlo - 1:nhi]) * rowk[slm] \
+            - (invAk * C[k]) * rowk1[sl]
 
 
 def symmetry_ratio(basis: BasisSpec, n: int, k: int) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bases, quadrature
-from .convmat import _kernel_and_size
+from .convmat import _kernel_and_size, _size
 from .errors import ArgumentError, DimensionError
 from .series import PolySeries
 
@@ -109,8 +109,7 @@ def fit_laguerre(f, degree: int) -> PolySeries:
     only for polynomial-decay products, so fitting quality for slowly
     decaying f is the caller's concern.
     """
-    if degree < 0:
-        raise ArgumentError("degree must be >= 0")
+    degree = _size(degree, "degree")
     npts = 2 * degree + 8
     x, _, w_exp = quadrature.gauss_laguerre(npts)
     F = np.asarray(f(x), dtype=float) * w_exp

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bases, quadrature
 from .bases import BasisSpec
-from .convmat import ConvMatrix, _column, to_dense
+from .convmat import ConvMatrix, _column, _size, to_dense
 from .errors import DimensionError, DomainMismatchError, OversizeError
 from .prng import SplitMix64
 from .quadrature import LD
@@ -55,8 +55,7 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
     """
     if not f.basis.finite_interval:
         raise DomainMismatchError("coefficient oracle needs a finite-interval basis")
-    if N < 0:
-        raise DimensionError("N must be >= 0")
+    N = _size(N)
     M = f.degree
     if M + N > COEFF_ORACLE_CAP:
         raise OversizeError(

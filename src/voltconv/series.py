@@ -159,6 +159,14 @@ def _chop(c: np.ndarray, rel_tol: float) -> np.ndarray:
     return c[:keep[-1] + 1].copy()
 
 
+def _samples(f, x: np.ndarray) -> np.ndarray:
+    """f(x) as floats; non-finite values would poison every coefficient."""
+    v = np.asarray(f(x), dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ArgumentError("the function returned non-finite values at sample points")
+    return v
+
+
 def fit_chebyshev(f: Callable[[np.ndarray], np.ndarray],
                   domain: Tuple[float, float],
                   rule: ChopRule = ChopRule()) -> PolySeries:
@@ -174,14 +182,14 @@ def fit_chebyshev(f: Callable[[np.ndarray], np.ndarray],
         raise DomainError(f"fit domain must be finite with a < b, got {domain}")
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     probe = mid + half * np.cos(np.linspace(0.31, 2.87, 23))
-    f_probe = np.asarray(f(probe), dtype=float)
+    f_probe = _samples(f, probe)
     fscale = max(1.0, np.max(np.abs(f_probe)))
 
     n = 16
     best = None
     while True:
         x = mid + half * chebyshev_points(n)
-        c = vals2coeffs(np.asarray(f(x), dtype=float))
+        c = vals2coeffs(_samples(f, x))
         mx = np.max(np.abs(c))
         if mx == 0.0:
             return PolySeries(bases.chebyshev(), (a, b), np.zeros(1))
@@ -278,12 +286,7 @@ def series_from_csv(text: str) -> PolySeries:
     kind = meta.get("basis")
     if kind is None:
         raise ArgumentError("CSV series is missing the '# basis:' header")
-    if kind == bases.GEGENBAUER:
-        basis = bases.gegenbauer(float(meta["lambda"]))
-    elif kind == bases.JACOBI:
-        basis = bases.jacobi(float(meta["alpha"]), float(meta["beta"]))
-    else:
-        basis = BasisSpec(kind)
+    basis = _basis_from_json({**meta, "kind": kind})
     a_str, b_str = meta.get("domain", "-1 1").split()
     dom = (float(a_str), math.inf if b_str == "inf" else float(b_str))
     return PolySeries(basis, dom, np.asarray(coeffs, dtype=float))

@@ -72,6 +72,19 @@ class TestTables:
         for arr in (t.A, t.B, t.C, t.shat):
             assert np.all(np.isfinite(arr))
 
+    def test_chebyshev_values(self):
+        t = convmat._tables(bases.chebyshev(), 8)
+        j = np.arange(10.0)
+        assert t.A[1] == 1.0                     # the integral of T_0 is T_1
+        np.testing.assert_array_equal(t.A[2:], 1.0 / (2.0 * j[2:]))
+        assert np.all(t.B == 0.0)
+        assert t.C[0] == 0.0                     # T_{-1} carries no term
+        np.testing.assert_array_equal(t.C[1:], -1.0 / (2.0 * j[1:]))
+        n = j[2:9]
+        np.testing.assert_array_equal(t.shat[:2], [-1.0, 1.0])
+        np.testing.assert_allclose(t.shat[2:], 2.0 * (-1.0) ** n / (n - 1.0),
+                                   rtol=1e-15)
+
     def test_degenerate_line_rejected(self):
         with pytest.raises(DegenerateParameterError):
             convmat.jacobi_tables(-0.3, -0.7, 4)
@@ -116,6 +129,21 @@ class TestStructure:
         D = convmat.to_dense(convmat.build_legendre(a, 40))
         k, n = np.indices(D.shape)
         assert np.all(D[np.abs(k - n) > 6] == 0.0)
+
+    @pytest.mark.parametrize("basis", [bases.jacobi(0.0, 0.0), bases.jacobi(2.0, 0.0),
+                                       bases.jacobi(-0.5, 0.0), bases.gegenbauer(0.5)],
+                             ids=lambda b: b.label())
+    def test_homogeneous_recursion_exact_band(self, basis):
+        # shat_n = 0 for n >= 1: the top rows vanish beyond the band, and the
+        # shortened region-C sweep still agrees with the oracle everywhere
+        M, N = 10, 300
+        a = np.random.default_rng(M + 17 * N).uniform(-1, 1, M + 1)
+        R = convmat.build(basis, a, N)
+        k, n = np.indices(R.top.shape)
+        assert np.all(R.top[n > k + M + 1] == 0.0)
+        cols = oracle.conv_coeff_block(PolySeries(basis, (-1, 1), a), N, extended=True)
+        assert np.abs(cols[:M + 1][n > k + M + 1]).max() < 1e-18
+        assert oracle.compare_entrywise(R, cols).max_abs < 1e-15
 
     def test_lower_structural_zeros(self, finite_basis):
         rng = np.random.default_rng(6)

@@ -107,6 +107,11 @@ class TestFitting:
         fit = laguerre.fit_laguerre(g_func, 54)
         np.testing.assert_allclose(fit.coeffs, closed_form_g_coeffs(54), atol=5e-15)
 
+    @pytest.mark.parametrize("degree", [True, 2.0])
+    def test_non_integer_degree(self, degree):
+        with pytest.raises(ArgumentError, match="degree must be an integer"):
+            laguerre.fit_laguerre(lambda x: x * np.exp(-x), degree)
+
     def test_weighted_evaluation(self):
         fit = laguerre.fit_laguerre(lambda x: 0.5 * x**2 * np.exp(-x), 2)
         xs = np.array([0.0, 0.7, 3.0, 42.0, 700.0, 1e4])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from voltconv import bases, convmat, oracle
-from voltconv.errors import DimensionError, OversizeError
+from voltconv.errors import ArgumentError, DimensionError, OversizeError
 from voltconv.series import PolySeries, evaluate, indefinite_integral_cheb
 
 
@@ -40,6 +40,12 @@ class TestCoefficientOracle:
         f = PolySeries(bases.chebyshev(), (-1, 1), np.ones(400))
         with pytest.raises(OversizeError):
             oracle.conv_coeff_block(f, 400)
+
+    @pytest.mark.parametrize("N", [True, 2.5])
+    def test_non_integer_N(self, N):
+        f = PolySeries(bases.chebyshev(), (-1, 1), [1.0, 0.5])
+        with pytest.raises(ArgumentError, match="N must be an integer"):
+            oracle.conv_coeff_block(f, N)
 
     def test_continuous_recurrence_identity(self):
         # columns of the quadrature oracle satisfy the five-term column

@@ -187,6 +187,10 @@ class TestFitting:
         assert exc.value.series is not None
         assert exc.value.series.degree <= 64
 
+    def test_nonfinite_samples_rejected(self):
+        with pytest.raises(ArgumentError, match="non-finite"):
+            fit_chebyshev(lambda x: np.where(x > 0.5, np.nan, x), (-1, 1))
+
     def test_fixed_degree_interpolation(self):
         from voltconv.series import fit_fixed_chebyshev
         s = fit_fixed_chebyshev(np.exp, (-1, 1), 20)
