@@ -470,15 +470,24 @@ def _diagonals(M: int, nrows: int, ncols: int):
             yield o, nlo, nhi
 
 
-def _dense(R: ConvMatrix, nrows: int, ncols: int) -> np.ndarray:
-    """Scaled leading nrows x ncols block of R as a dense array."""
+def _entries(R: ConvMatrix, nrows: int, ncols: int):
+    """Rows, columns and unscaled values of R's stored entries in its leading
+    nrows x ncols block, yielded one top row and then one band diagonal at a
+    time.  No position is yielded twice.
+    """
     M = R.M
-    out = np.zeros((nrows, ncols))
-    ktop = min(M + 1, nrows)
-    out[:ktop] = R.top[:ktop, :ncols]
+    for k in range(min(M + 1, nrows)):
+        yield np.full(ncols, k), np.arange(ncols), R.top[k, :ncols]
     for o, nlo, nhi in _diagonals(M, nrows, ncols):
         n = np.arange(nlo, nhi + 1)
-        out[n + o, n] = R.band[o + M + 1, nlo:nhi + 1]
+        yield n + o, n, R.band[o + M + 1, nlo:nhi + 1]
+
+
+def _dense(R: ConvMatrix, nrows: int, ncols: int) -> np.ndarray:
+    """Scaled leading nrows x ncols block of R as a dense array."""
+    out = np.zeros((nrows, ncols))
+    for rows, cols, vals in _entries(R, nrows, ncols):
+        out[rows, cols] = vals
     out *= R.scale
     return out
 

@@ -4,18 +4,18 @@ All convolution arithmetic happens on the canonical interval; the only
 domain-dependent ingredient is the Jacobian (b-a)/2, carried in
 ConvMatrix.scale.  Solving u = s + V[f]u discretizes to (I - R^N) c_u = c_s
 with R^N the leading (N+1) x (N+1) block of the scaled convolution matrix.
+I - R^N is almost banded like R, so it is assembled and factored sparsely
+(partial-pivot LU in reversed order, O(M^2 N) time and O(MN) memory);
+truncate_square gives the dense block for reference.
 """
 
 from __future__ import annotations
 
+import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-
-import json
 
 from . import convmat, laguerre
 from .errors import DimensionError, DomainMismatchError, SingularSystemError
@@ -99,22 +99,30 @@ def tailor_rhs(coeffs: np.ndarray, N: int) -> np.ndarray:
 def solve_second_kind(problem: VolterraProblem, N: int) -> PolySeries:
     """Degree-N approximation of u solving u = rhs + kernel * u.
 
-    Builds the kernel's convolution matrix (domain scale included), forms
-    I - R^N, tailors the rhs coefficients to length N+1 and solves by dense
-    partial-pivot elimination.
+    Builds the kernel's convolution matrix (domain scale included), assembles
+    I - R^N from its stored entries, tailors the rhs coefficients to length
+    N+1 and solves by sparse partial-pivot LU (SuperLU, no column
+    reordering).  Rows and columns go in reverse order, which puts the M+1
+    dense top rows last: fill then stays inside the band and those rows, and
+    the solve costs O(M^2 N) time and O(MN) memory.
     """
+    import scipy.sparse.linalg  # ~30 ms to import, and only the solver uses it
     a, b = problem.domain
     R = convmat.build(problem.kernel.basis, problem.kernel.coeffs, N,
                       scale=(b - a) / 2.0)
-    A = np.eye(N + 1) - truncate_square(R, N)
-    rhs = tailor_rhs(problem.rhs.coeffs, N)
-    with warnings.catch_warnings():
-        # singular pivots are detected and raised below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    pivmin = np.min(np.abs(np.diag(lu)))
-    if pivmin <= _PIVOT_RTOL * np.max(np.abs(A)):
+    # I - R^N as CSC, rows and columns reversed; every diagonal entry is stored
+    rows, cols, vals = map(np.concatenate, zip(*convmat._entries(R, N + 1, N + 1)))
+    vals = -R.scale * vals
+    vals[rows == cols] += 1.0
+    A = scipy.sparse.csc_array((vals, (N - rows, N - cols)), shape=(N + 1, N + 1))
+    try:
+        lu = scipy.sparse.linalg.splu(A, permc_spec="NATURAL")
+    except RuntimeError:        # SuperLU met an exactly zero pivot
+        raise SingularSystemError("I - R^N is singular (zero pivot)") from None
+    pivmin = np.min(np.abs(lu.U.diagonal()))
+    if pivmin <= _PIVOT_RTOL * np.max(np.abs(A.data)):
         raise SingularSystemError(
             f"I - R^N is numerically singular (min pivot {pivmin:.3e})")
-    c = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    rhs = tailor_rhs(problem.rhs.coeffs, N)
+    c = lu.solve(rhs[::-1])[::-1]
     return PolySeries(problem.kernel.basis, problem.domain, c)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from voltconv import bases, convmat, laguerre, oracle, volterra
+from voltconv import bases, convmat, laguerre, oracle, prng, volterra
 from voltconv.errors import (ArgumentError, DimensionError, DomainMismatchError,
                              SingularSystemError)
 from voltconv.series import PolySeries, evaluate, fit_chebyshev
@@ -167,6 +170,30 @@ class TestSolve:
         with pytest.raises(SingularSystemError):
             volterra.solve_second_kind(volterra.VolterraProblem(one, one), 0)
 
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_near_singular_system(self, N):
+        # kernel T_0 on (0, 2/lam): I - R^N = I - R0^N / lam for the T_0
+        # matrix R0^N on [-1, 1], singular up to the rounding of lam
+        R0 = volterra.truncate_square(convmat.build(bases.chebyshev(), [1.0], N), N)
+        lams = [lam.real for lam in np.linalg.eigvals(R0)
+                if lam.imag == 0.0 and lam.real > 0.0]
+        assert lams
+        for lam in lams:
+            one = PolySeries(bases.chebyshev(), (0.0, 2.0 / lam), [1.0])
+            with pytest.raises(SingularSystemError):
+                volterra.solve_second_kind(volterra.VolterraProblem(one, one), N)
+
+    def test_memory_is_linear_in_N(self, renewal_fit):
+        # a dense (N+1)^2 block alone is 122 MiB at N = 4000
+        prob = volterra.VolterraProblem(renewal_fit, renewal_fit)
+        tracemalloc.start()
+        try:
+            volterra.solve_second_kind(prob, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
     def test_problem_validation(self, renewal_fit):
         other = PolySeries(bases.chebyshev(), (0, 3), [1.0])
         with pytest.raises(DomainMismatchError):
@@ -177,3 +204,38 @@ class TestSolve:
         back = volterra.problem_from_json(volterra.problem_to_json(prob))
         np.testing.assert_array_equal(back.kernel.coeffs, renewal_fit.coeffs)
         assert back.domain == prob.domain
+
+
+KERNEL_DEGREE = 10
+
+
+@pytest.mark.parametrize("length", [2.0, 20.0])
+@pytest.mark.parametrize("N", [0, 1, KERNEL_DEGREE - 1, KERNEL_DEGREE,
+                               KERNEL_DEGREE + 1, 2 * KERNEL_DEGREE + 3, 300])
+def test_solve_matches_dense_reference(finite_basis, length, N):
+    """Backward and forward error against dense LU on I - R^N.
+
+    A refusal is allowed only for a system singular to working precision:
+    the solver refuses when a pivot is <= 1e-14 max|A|, and partial pivoting
+    keeps |L| <= 1, so kappa_inf(A) >= 1e14 / (N + 1) then.  The Gegenbauer(2)
+    kernel of the N = 300 cases reaches |f| = 190, and kappa_inf(A) ~ 1e23.
+    """
+    def inf(x):
+        return np.linalg.norm(x, np.inf)
+
+    eps = np.finfo(float).eps
+    kernel = PolySeries(finite_basis, (0.0, length),
+                        prng.random_kernel(KERNEL_DEGREE, 7 + N))
+    rhs = PolySeries(finite_basis, (0.0, length), prng.random_kernel(N, 11 + N))
+    R = convmat.build(finite_basis, kernel.coeffs, N, scale=length / 2.0)
+    A = np.eye(N + 1) - volterra.truncate_square(R, N)
+    b = volterra.tailor_rhs(rhs.coeffs, N)
+    kappa = inf(A) * inf(np.linalg.inv(A))
+    try:
+        c = volterra.solve_second_kind(volterra.VolterraProblem(kernel, rhs), N).coeffs
+    except SingularSystemError:
+        assert kappa >= 1e14 / (N + 1)
+        return
+    c_ref = scipy.linalg.solve(A, b)
+    assert inf(A @ c - b) <= 64 * eps * (inf(A) * inf(c) + inf(b))
+    assert inf(c - c_ref) <= 64 * eps * kappa * inf(c_ref)
