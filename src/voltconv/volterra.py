@@ -5,8 +5,8 @@ domain-dependent ingredient is the Jacobian (b-a)/2, carried in
 ConvMatrix.scale.  Solving u = s + V[f]u discretizes to (I - R^N) c_u = c_s
 with R^N the leading (N+1) x (N+1) block of the scaled convolution matrix.
 I - R^N is almost banded like R, so it is assembled and factored sparsely
-(partial-pivot LU in reversed order, O(M^2 N) time and O(MN) memory);
-truncate_square gives the dense block for reference.
+(partial-pivot LU of its reversed transpose, O(M^2 N) time and O(MN)
+memory); truncate_square gives the dense block for reference.
 """
 
 from __future__ import annotations
@@ -100,21 +100,24 @@ def solve_second_kind(problem: VolterraProblem, N: int) -> PolySeries:
     """Degree-N approximation of u solving u = rhs + kernel * u.
 
     Builds the kernel's convolution matrix (domain scale included), assembles
-    I - R^N from its stored entries, tailors the rhs coefficients to length
-    N+1 and solves by sparse partial-pivot LU (SuperLU, no column
-    reordering).  Rows and columns go in reverse order, which puts the M+1
-    dense top rows last: fill then stays inside the band and those rows, and
-    the solve costs O(M^2 N) time and O(MN) memory.
+    the transpose of I - R^N from its stored entries, tailors the rhs
+    coefficients to length N+1 and solves by sparse partial-pivot LU
+    (SuperLU, no column reordering) of that transpose, i.e. by column
+    pivoting on I - R^N.  Rows and columns go in reverse order, which makes
+    the M+1 dense top rows the last columns.  Every pivot before them is
+    then chosen among the M+2 band rows that reach its column, so fill stays
+    inside the band and those columns whatever the entries' sizes, and the
+    solve costs O(M^2 N) time and O(MN) memory.
     """
     import scipy.sparse.linalg  # ~30 ms to import, and only the solver uses it
     a, b = problem.domain
     R = convmat.build(problem.kernel.basis, problem.kernel.coeffs, N,
                       scale=(b - a) / 2.0)
-    # I - R^N as CSC, rows and columns reversed; every diagonal entry is stored
+    # (I - R^N)^T as CSC, rows and columns reversed; every diagonal entry is stored
     rows, cols, vals = map(np.concatenate, zip(*convmat._entries(R, N + 1, N + 1)))
     vals = -R.scale * vals
     vals[rows == cols] += 1.0
-    A = scipy.sparse.csc_array((vals, (N - rows, N - cols)), shape=(N + 1, N + 1))
+    A = scipy.sparse.csc_array((vals, (N - cols, N - rows)), shape=(N + 1, N + 1))
     try:
         lu = scipy.sparse.linalg.splu(A, permc_spec="NATURAL")
     except RuntimeError:        # SuperLU met an exactly zero pivot
@@ -124,5 +127,5 @@ def solve_second_kind(problem: VolterraProblem, N: int) -> PolySeries:
         raise SingularSystemError(
             f"I - R^N is numerically singular (min pivot {pivmin:.3e})")
     rhs = tailor_rhs(problem.rhs.coeffs, N)
-    c = lu.solve(rhs[::-1])[::-1]
+    c = lu.solve(rhs[::-1], trans="T")[::-1]
     return PolySeries(problem.kernel.basis, problem.domain, c)

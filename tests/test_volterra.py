@@ -194,6 +194,19 @@ class TestSolve:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
 
+    def test_memory_is_linear_in_N_when_top_rows_dominate(self, finite_basis):
+        # at N = 4000 the Gegenbauer(2) top rows reach 2e4 times the diagonal;
+        # a pivot taken from them would spread their fill through the band
+        kernel = PolySeries(finite_basis, (0.0, 20.0), prng.random_kernel(10, 7))
+        prob = volterra.VolterraProblem(kernel, kernel)
+        tracemalloc.start()
+        try:
+            volterra.solve_second_kind(prob, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
     def test_problem_validation(self, renewal_fit):
         other = PolySeries(bases.chebyshev(), (0, 3), [1.0])
         with pytest.raises(DomainMismatchError):
@@ -209,6 +222,7 @@ class TestSolve:
 KERNEL_DEGREE = 10
 
 
+@pytest.mark.filterwarnings("ignore:An ill-conditioned matrix:scipy.linalg.LinAlgWarning")
 @pytest.mark.parametrize("length", [2.0, 20.0])
 @pytest.mark.parametrize("N", [0, 1, KERNEL_DEGREE - 1, KERNEL_DEGREE,
                                KERNEL_DEGREE + 1, 2 * KERNEL_DEGREE + 3, 300])
@@ -216,9 +230,10 @@ def test_solve_matches_dense_reference(finite_basis, length, N):
     """Backward and forward error against dense LU on I - R^N.
 
     A refusal is allowed only for a system singular to working precision:
-    the solver refuses when a pivot is <= 1e-14 max|A|, and partial pivoting
-    keeps |L| <= 1, so kappa_inf(A) >= 1e14 / (N + 1) then.  The Gegenbauer(2)
-    kernel of the N = 300 cases reaches |f| = 190, and kappa_inf(A) ~ 1e23.
+    the solver refuses when a pivot of its LU of A^T is <= 1e-14 max|A|, and
+    partial pivoting keeps |L| <= 1, so kappa_inf(A) = kappa_1(A^T) >=
+    1e14 / (N + 1) then.  The Gegenbauer(2) kernel of the N = 300 cases
+    reaches |f| = 190, and kappa_inf(A) ~ 1e23.
     """
     def inf(x):
         return np.linalg.norm(x, np.inf)
