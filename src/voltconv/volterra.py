@@ -105,9 +105,9 @@ def solve_second_kind(problem: VolterraProblem, N: int) -> PolySeries:
     (SuperLU, no column reordering) of that transpose, i.e. by column
     pivoting on I - R^N.  Rows and columns go in reverse order, which makes
     the M+1 dense top rows the last columns.  Every pivot before them is
-    then chosen among the M+2 band rows that reach its column, so fill stays
-    inside the band and those columns whatever the entries' sizes, and the
-    solve costs O(M^2 N) time and O(MN) memory.
+    then chosen within the band, so fill stays inside the band and those
+    columns whatever the entries' sizes, and the solve costs O(M^2 N) time
+    and O(MN) memory.
     """
     import scipy.sparse.linalg  # ~30 ms to import, and only the solver uses it
     a, b = problem.domain

@@ -24,6 +24,16 @@ def renewal_fit():
     return fit_chebyshev(renewal_kernel, (0, 2))
 
 
+def solve_peak_bytes(prob, N):
+    """tracemalloc peak of one solve."""
+    tracemalloc.start()
+    try:
+        volterra.solve_second_kind(prob, N)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestConvolve:
     def test_unit_functions(self):
         one = PolySeries(bases.chebyshev(), (-1, 1), [1.0])
@@ -186,26 +196,14 @@ class TestSolve:
     def test_memory_is_linear_in_N(self, renewal_fit):
         # a dense (N+1)^2 block alone is 122 MiB at N = 4000
         prob = volterra.VolterraProblem(renewal_fit, renewal_fit)
-        tracemalloc.start()
-        try:
-            volterra.solve_second_kind(prob, 4000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 32 * 2**20
+        assert solve_peak_bytes(prob, 4000) <= 32 * 2**20
 
     def test_memory_is_linear_in_N_when_top_rows_dominate(self, finite_basis):
         # at N = 4000 the Gegenbauer(2) top rows reach 2e4 times the diagonal;
         # a pivot taken from them would spread their fill through the band
         kernel = PolySeries(finite_basis, (0.0, 20.0), prng.random_kernel(10, 7))
         prob = volterra.VolterraProblem(kernel, kernel)
-        tracemalloc.start()
-        try:
-            volterra.solve_second_kind(prob, 4000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 32 * 2**20
+        assert solve_peak_bytes(prob, 4000) <= 32 * 2**20
 
     def test_problem_validation(self, renewal_fit):
         other = PolySeries(bases.chebyshev(), (0, 3), [1.0])
