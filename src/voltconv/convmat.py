@@ -7,8 +7,9 @@ sub- and M+1 superdiagonals.  Construction is region-wise per column /
 diagonal / row:
 
   column 0        antiderivative coefficients of the kernel
-  region A        main diagonal and M+1 subdiagonals, forward column
-                  recursion (stable: error multipliers <= 1 there)
+  region A        main diagonal and M+1 subdiagonals, offset by offset: each
+                  is one forward recurrence over the columns (stable: its
+                  multiplier is <= 1), run by a LAPACK bidiagonal solve
   region B        superdiagonal band, mirrored from region A through the
                   rescaling symmetry of the (N-M) x (N-M) inner submatrix
   region C        dense top rows including row 0, recast recursion swept
@@ -19,9 +20,9 @@ diagonal / row:
                   entry comes from the endpoint boundary sum (the recast
                   forms are singular at n = 1 for Chebyshev)
 
-Regions A and C read one RecurrenceTables per basis (Chebyshev's region A
-keeps its exact multipliers c/k).  Every reader of the packed storage
-lives in this module.
+Regions A and C read one RecurrenceTables per basis, with no per-basis
+branch.  Entries below finfo.tiny are stored as exact zeros (see build).
+Every reader of the packed storage lives in this module.
 
 The naive single-recursion builder is kept for error-growth studies; above
 the main diagonal its multipliers exceed 1 and roundoff snowballs.
@@ -47,6 +48,8 @@ __all__ = [
     "build_gegenbauer", "build_jacobi", "build", "build_chebyshev_naive",
     "jacobi_tables", "symmetry_ratio", "apply", "to_dense",
 ]
+
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -108,12 +111,17 @@ class RecurrenceTables:
     value keeps the tables finite and the column recursion uniform in n.
     Chebyshev conventions: A[1] = 1 (the integral of T_0 is T_1, not
     T_1 / 2), which gives region C's halving at k = 1, and C[0] = 0.
+    Ainv and Cinv are 1/A and 1/C from their closed forms (inf where A or C
+    is 0), exact where those are integers or dyadics, so multipliers such
+    as A_k / A_c = Ainv_c / Ainv_k round once.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     shat: np.ndarray
+    Ainv: np.ndarray
+    Cinv: np.ndarray
 
 
 def jacobi_tables(alpha: float, beta: float, nmax: int) -> RecurrenceTables:
@@ -147,25 +155,29 @@ def jacobi_tables(alpha: float, beta: float, nmax: int) -> RecurrenceTables:
                           / (np.arange(nmax + 1, dtype=float) + 1.0))
         signs = np.where(np.arange(1, nmax + 1) % 2 == 1, 1.0, -1.0)
         S[1:] = 2.0 * signs * poch[1:] / (ab + i)
-    return RecurrenceTables(A, B, C, S / A[1:nmax + 2])
+    Ainv = np.full(nmax + 2, np.inf)
+    Ainv[1:] = (ab + 2.0 * j[1:] - 1.0) * (ab + 2.0 * j[1:]) / (2.0 * (ab + j[1:]))
+    Cinv = -(ab + j + 1.0) * (ab + 2.0 * j + 2.0) * (ab + 2.0 * j + 3.0) / (
+        2.0 * (alpha + j + 1.0) * (beta + j + 1.0))
+    return RecurrenceTables(A, B, C, S / A[1:nmax + 2], Ainv, Cinv)
 
 
 def _gegenbauer_tables(lam: float, nmax: int) -> RecurrenceTables:
     j = np.arange(nmax + 2, dtype=float)
-    A = np.zeros(nmax + 2)
-    A[1:] = 1.0 / (2.0 * (j[1:] - 1.0 + lam))
-    C = -1.0 / (2.0 * (j + 1.0 + lam))
-    return RecurrenceTables(A, np.zeros(nmax + 2), C,
-                            bases.gegenbauer_S_array(lam, nmax))
+    Ainv = np.concatenate([[np.inf], 2.0 * (j[1:] - 1.0 + lam)])
+    Cinv = -2.0 * (j + 1.0 + lam)
+    return RecurrenceTables(1.0 / Ainv, np.zeros(nmax + 2), 1.0 / Cinv,
+                            bases.gegenbauer_S_array(lam, nmax), Ainv, Cinv)
 
 
 def _chebyshev_tables(nmax: int) -> RecurrenceTables:
     j = np.arange(nmax + 2, dtype=float)
-    A = np.concatenate([[0.0, 1.0], 0.5 / j[2:]])     # A_1 = 1, A_j = 1/(2j)
-    C = np.concatenate([[0.0], -0.5 / j[1:]])         # C_0 = 0, C_j = -1/(2j)
+    Ainv = np.concatenate([[np.inf, 1.0], 2.0 * j[2:]])   # A_1 = 1, A_j = 1/(2j)
+    Cinv = np.concatenate([[-np.inf], -2.0 * j[1:]])      # C_0 = 0, C_j = -1/(2j)
     n = j[2:nmax + 1]
     shat = np.concatenate([[-1.0, 1.0], np.where(n % 2 == 0, 2.0, -2.0) / (n - 1.0)])
-    return RecurrenceTables(A, np.zeros(nmax + 2), C, shat[:nmax + 1])
+    return RecurrenceTables(1.0 / Ainv, np.zeros(nmax + 2), 1.0 / Cinv, shat[:nmax + 1],
+                            Ainv, Cinv)
 
 
 def _tables(basis: BasisSpec, nmax: int) -> RecurrenceTables:
@@ -237,69 +249,30 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     W = max(N, M + 2)        # internal column count (symmetry mirrors need M+2)
     Wp = W + M + 1           # widest padded column touched by the region-C sweep
     tables = _tables(basis, Wp + 1)
-    A, B, C, shat = tables.A, tables.B, tables.C, tables.shat
     # shat_n = 0 for n >= 1 makes the column recursion homogeneous, so the
     # top rows vanish beyond the band (Legendre, Gegenbauer(1/2), Jacobi(a, 0))
-    banded = not np.any(shat[1:])
+    banded = not np.any(tables.shat[1:])
 
     col0 = _column0(basis, a, tables)
+    # entries below finfo.tiny are stored as exact zeros, since subnormals
+    # slow every pass over them (apply included); when eps^2 max|col0| > tiny
+    # they are below eps^2 max|R|, and tiny kernels keep exact arithmetic
+    flush = np.finfo(float).eps ** 2 * np.abs(col0).max() > _TINY
+    if flush:
+        _flush_subnormal(col0)
     # rows 0..M+2 over the padded columns: rows M+1 and M+2 repeat the band's
     # and extend it past column W for region C; only rows 0..M are returned
     top = np.zeros((M + 3, Wp + 1))
     band = np.zeros((2 * M + 3, W + 1))  # rows >= M+1, |k-n| <= M+1, cols 0..W
-    top[:M + 1, 0] = col0[:M + 1]
-    band[2 * M + 2, 0] = col0[M + 1]   # row M+1, column 0 (offset M+1)
-
-    # region A: columns 1..W, rows c..c+M+1, forward recursion.  Each column's
-    # rows c-1..c+M sit in a local vector followed by two zeros, so the
-    # k-1, k, k+1 and shift-by-2 neighbours are plain slices of it.
-    c0p = np.zeros(W + M + 2)            # column 0, zero-padded
-    c0p[:M + 2] = col0
-    kf = np.arange(W + M + 2, dtype=float)
-    prev2 = np.zeros(M + 4)  # rows c-2 .. c+M-1 of column c-2, then two zeros
-    prev = np.zeros(M + 4)   # rows c-1 .. c+M   of column c-1, then two zeros
-    prev[:M + 2] = col0
-    for c in range(1, W + 1):
-        km1, curk, kp1 = prev[:M + 2], prev[1:M + 3], prev[2:]
-        sh2 = prev2[2:]                             # rows c..c+M+1 of column c-2
-        k = slice(c, c + M + 2)
-        c0s = c0p[k]
-        if basis.kind == bases.CHEBYSHEV:
-            # multipliers like c/k rounded once: A_k * (1/A_c) is less accurate
-            k = kf[c:c + M + 2]
-            if c == 1:
-                km1 = km1.copy()
-                km1[0] *= 2.0                       # term doubled when k = 1
-                cur = -c0s + (km1 - kp1) / (2.0 * k)
-            elif c == 2:
-                cur = c0s + (2.0 / k) * (km1 - kp1)
-            else:
-                cur = shat[c - 1] * c0s \
-                    + (c / (c - 2.0)) * sh2 \
-                    + (c / k) * (km1 - kp1)
-        else:
-            invAc = 1.0 / A[c]
-            cur = ((B[k] - B[c - 1]) * invAc) * curk \
-                + (A[k] * invAc) * km1 \
-                + (C[k] * invAc) * kp1 \
-                + shat[c - 1] * c0s
-            if c >= 2:
-                cur = cur - (C[c - 2] * invAc) * sh2
-        if c <= M:
-            top[c:M + 1, c] = cur[:M + 1 - c]
-        lo = max(c, M + 1)
-        band[lo - c + M + 1:, c] = cur[lo - c:]
-        prev2[:M + 2] = cur       # the buffer of column c-2 now holds column c
-        prev2, prev = prev, prev2
+    D = band[M + 1:]                     # D[d, c] = R_{c+d, c}: region A, col 0
+    ends = _region_a(tables, M, W, col0, D, flush)
+    diag = top.reshape(-1)[:(M + 1) * (Wp + 1)]   # top rows 0..M, flat
+    for d in range(M + 1):               # offset d's entries in rows 0..M
+        diag[d * (Wp + 1)::Wp + 2] = D[d, :M + 1 - d]
+        D[d, :M + 1 - d] = 0.0
 
     # region B: superdiagonal band by symmetry, then the dense rows M+1, M+2
-    _fill_region_b(basis, M, W, Wp, band, top[M + 1:])
-
-    # region C: dense top rows swept upward by the recast recursion.  The
-    # sweep includes row 0 (the k = 1 step; Chebyshev's A_1 = 1 halves it):
-    # reconstructing row 0 from the boundary sum instead would amplify band
-    # roundoff by the boundary weights, ~n^(2 lam - 1) for Gegenbauer.
-    _sweep_region_c(tables, M, N, col0, top, banded)
+    _fill_region_b(basis, M, W, Wp, band, top[M + 1:], ends, flush)
 
     # the recast forms are singular at n = 1 for Chebyshev, so column 1's
     # top entry comes from the boundary sum over its nonzero rows 1..M+2
@@ -307,20 +280,91 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
         wts = bases.boundary_weights(basis, M + 2)
         top[0, 1] = math.fsum(wts[1:] * top[1:, 1])
 
+    # region C: dense top rows swept upward by the recast recursion.  The
+    # sweep includes row 0 (the k = 1 step; Chebyshev's A_1 = 1 halves it):
+    # reconstructing row 0 from the boundary sum instead would amplify band
+    # roundoff by the boundary weights, ~n^(2 lam - 1) for Gegenbauer.
+    _sweep_region_c(tables, M, N, col0, top, banded, flush)
+
     return ConvMatrix(basis, M, N, float(scale),
                       np.ascontiguousarray(top[:M + 1, :N + 1]),
                       np.ascontiguousarray(band[:, :N + 1]))
 
 
-def _fill_region_b(basis, M, W, Wp, band, pad):
-    """Mirror the superdiagonal band, then fill pad with R's rows M+1, M+2."""
+def _region_a(tables, M, W, col0, D, flush):
+    """Region A in place, D[d, c] = R_{c+d, c}; returns each offset's last
+    possibly nonzero column.
+
+    Offset d's column step reads D[d, c-1] with the multiplier
+    mu_c = A_{c+d} / A_c <= 1 and otherwise only offsets d+1, d+2 and
+    column 0, so for d = M+1 down to 0 it is one recurrence
+    x_c = mu_c x_{c-1} + g_c, solved forward by LAPACK.  Past the last
+    nonzero g_c it decays; doubling chunks stop once an entry flushes to 0.
+    """
+    from scipy.linalg.lapack import dtbtrs
+    A, B, C, shat = tables.A, tables.B, tables.C, tables.shat
+    Ainv, Cinv = tables.Ainv, tables.Cinv
+    D[:, 0] = col0
+    # column 1 by the column step from column 0: it feeds the boundary sum
+    # for top[0, 1], which amplifies its rounding
+    k = np.arange(1, M + 3)
+    c0 = np.concatenate([col0, [0.0, 0.0]])
+    invA1 = 1.0 / A[1]
+    D[:, 1] = ((B[k] - B[0]) * invA1) * c0[1:M + 3] + (A[k] * invA1) * c0[:M + 2] \
+        + (C[k] * invA1) * c0[2:] + shat[0] * c0[1:M + 3]
+    Ac = Ainv[2:W + 1]                    # 1 / A_c for c = 2..W at index c - 2
+    Cprev = Ac / Cinv[:W - 1]             # C_{c-2} / A_c
+    negAinv = -Ainv
+    has_b = np.any(B)
+    ab = np.ones((2, W - 1), order="F")   # unit diagonal, then -mu_{c+1}
+    ends = [-2] * (M + 4)                 # columns beyond ends[d] hold zeros
+    for d in range(M + 1, -1, -1):
+        # g_c is nonzero at most up to column hi
+        hi = min(W, max(ends[d + 1] + 1, ends[d + 2] + 2, M + 1 - d, 2))
+        g = D[d, 2:hi + 1]
+        n = hi - 1
+        if d <= M and has_b:
+            g += ((B[d + 2:d + hi + 1] - B[1:hi]) * Ac[:n]) * D[d + 1, 1:hi]
+        if d < M:
+            g += (Ac[:n] / Cinv[d + 2:d + hi + 1]) * D[d + 2, 1:hi]
+            c0s = col0[d + 2:]            # column 0 at rows c + d <= M+1
+            g[:c0s.size] += shat[1:c0s.size + 1] * c0s
+            g -= Cprev[:n] * D[d + 2, :hi - 1]
+        lo = 2
+        while True:
+            x = D[d, lo:hi + 1]
+            x[0] += (Ainv[lo] / Ainv[lo + d]) * D[d, lo - 1]
+            np.divide(Ainv[lo + 1:hi + 1], negAinv[lo + d + 1:hi + d + 1],
+                      out=ab[1, lo - 2:hi - 2])
+            dtbtrs(ab[:, lo - 2:hi - 1], x[:, None], uplo="L", diag="U",
+                   overwrite_b=1)         # in place: x is a contiguous row
+            if flush:
+                _flush_subnormal(x)
+            if hi == W or x[-1] == 0.0:
+                break
+            lo, hi = hi + 1, min(W, 2 * hi)
+        ends[d] = hi
+    return ends[:M + 2]
+
+
+def _flush_subnormal(x):
+    """Store the entries of x below finfo.tiny in magnitude as exact zeros."""
+    np.copyto(x, 0.0, where=np.abs(x) < _TINY)
+
+
+def _fill_region_b(basis, M, W, Wp, band, pad, ends, flush):
+    """Mirror the superdiagonal band, then fill pad with R's rows M+1, M+2.
+
+    Subdiagonal o is zero beyond column ends[o], and so is its mirror.
+    """
     ratio = _ratio_factors(basis, Wp)
     for o in range(1, M + 2):                  # superdiagonal offset n - k
-        klo, khi = M + 1, W - o
+        klo, khi = M + 1, min(W - o, ends[o])
         if khi >= klo:
-            mirror = band[o + M + 1, klo:khi + 1]          # R_{k+o, k}
-            rho = ratio(klo, khi, o)
-            band[M + 1 - o, klo + o:khi + o + 1] = rho * mirror
+            out = band[M + 1 - o, klo + o:khi + o + 1]
+            out[:] = ratio(klo, khi, o) * band[o + M + 1, klo:khi + 1]   # R_{k+o, k}
+            if flush:
+                _flush_subnormal(out)
     for i, r in enumerate((M + 1, M + 2)):
         n = np.arange(r - M - 1, min(W, r + M + 1) + 1)
         pad[i, n] = band[r - n + M + 1, n]
@@ -363,25 +407,26 @@ def _ratio_factors(basis, nmax):
     return fac
 
 
-def _sweep_region_c(tables, M, N, col0, top, banded):
+def _sweep_region_c(tables, M, N, col0, top, banded, flush):
     A, B, C, shat = tables.A, tables.B, tables.C, tables.shat
     for k in range(M + 1, 0, -1):
         r = k - 1
         nlo = max(k, 2)         # column 1 of row 0 is handled separately
         nhi = N + r if not banded else min(N + r, r + M + 1)
-        if nhi < nlo:
-            continue
-        sl = slice(nlo, nhi + 1)
-        slm = slice(nlo - 1, nhi)
-        slp = slice(nlo + 1, nhi + 2)
-        rowk, rowk1 = top[k], top[k + 1]
-        rk0 = col0[k] if k <= M + 1 else 0.0
-        invAk = 1.0 / A[k]
-        rhoA = invAk * A[nlo + 1:nhi + 2]
-        top[r, sl] = rhoA * (rowk[slp] - shat[sl] * rk0) \
-            + (invAk * (B[sl] - B[k])) * rowk[sl] \
-            + (invAk * C[nlo - 1:nhi]) * rowk[slm] \
-            - (invAk * C[k]) * rowk1[sl]
+        if nhi >= nlo:
+            sl = slice(nlo, nhi + 1)
+            slm = slice(nlo - 1, nhi)
+            slp = slice(nlo + 1, nhi + 2)
+            rowk, rowk1 = top[k], top[k + 1]
+            rk0 = col0[k] if k <= M + 1 else 0.0
+            invAk = 1.0 / A[k]
+            rhoA = invAk * A[nlo + 1:nhi + 2]
+            top[r, sl] = rhoA * (rowk[slp] - shat[sl] * rk0) \
+                + (invAk * (B[sl] - B[k])) * rowk[sl] \
+                + (invAk * C[nlo - 1:nhi]) * rowk[slm] \
+                - (invAk * C[k]) * rowk1[sl]
+        if flush:               # row 0 includes column 1's boundary sum
+            _flush_subnormal(top[r, :nhi + 1])
 
 
 def symmetry_ratio(basis: BasisSpec, n: int, k: int) -> float:

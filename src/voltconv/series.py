@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 import numpy as np
-import scipy.fft
 
 from . import bases
 from .bases import BasisSpec
@@ -124,6 +123,7 @@ def vals2coeffs(values: np.ndarray) -> np.ndarray:
     n = v.size - 1
     if n == 0:
         return v.copy()
+    import scipy.fft  # ~0.4 s to import, and only this call uses it
     c = scipy.fft.dct(v, type=1) / n
     c[0] *= 0.5
     c[-1] *= 0.5

@@ -1,4 +1,8 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +10,11 @@ import pytest
 from voltconv import bases, convmat, laguerre, oracle, volterra
 from voltconv.errors import (ArgumentError, DegenerateParameterError,
                              DimensionError)
+from voltconv.prng import random_kernel
 from voltconv.series import PolySeries, indefinite_integral_cheb
+
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
 
 
 class TestColumnZero:
@@ -291,6 +299,76 @@ class TestApply:
             e = np.zeros(n + 1)
             e[n] = 1.0
             np.testing.assert_allclose(convmat.apply(R, e), D[:, n], atol=0)
+
+
+def minus_one_values(basis, n):
+    """p_k(-1) for k = 0..n-1 from the closed forms (-1)^k (s)_k / k!.
+
+    The Pochhammer quotient is a running product of (s + j) / (j + 1): its
+    relative error grows like sqrt(k) eps, where exp(gammaln) loses
+    eps |gammaln| ~ 1e-11 at k = 20000.
+    """
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    if basis.kind in (bases.CHEBYSHEV, bases.LEGENDRE):
+        return sign
+    s = 2.0 * basis.lam if basis.kind == bases.GEGENBAUER else basis.beta + 1.0
+    j = np.arange(n - 1, dtype=float)
+    return sign * np.concatenate([[1.0], np.cumprod((s + j) / (j + 1.0))])
+
+
+class TestRegionA:
+    """Region A runs one forward recurrence per band offset."""
+
+    def test_boundary_identity_at_large_n(self, finite_basis):
+        # sum_k R_{k,n} p_k(-1) = 0 for every column n >= 2 (the row-0
+        # entries of columns 0 and 1 come from that sum, so theirs is
+        # vacuous).  Rounding accumulates additively over the column steps,
+        # so the bound is 64 eps per row of the column times sum_k |R_kn p_k|,
+        # plus 64 eps times column 0's entry scale.
+        M, N = 10, 20000
+        R = convmat.build(finite_basis, random_kernel(M, 2), N)
+        w = minus_one_values(finite_basis, M + N + 2)
+        res = w[:M + 1] @ R.top
+        size = np.abs(w[:M + 1]) @ np.abs(R.top)
+        n = np.arange(N + 1)
+        for o in range(-(M + 1), M + 2):          # band row o + M + 1: R_{n+o, n}
+            k = n + o
+            ok = (k >= M + 1) & (k <= M + N + 1)
+            terms = R.band[o + M + 1, ok] * w[k[ok]]
+            res[ok] += terms
+            size[ok] += np.abs(terms)
+        floor = np.abs(convmat._column(R, 0) * w).sum()
+        rows = M + n + 2
+        ratio = np.abs(res[2:]) / (64 * EPS * (rows[2:] * size[2:] + floor))
+        assert ratio.max() <= 1.0, (int(ratio.argmax()) + 2, ratio.max())
+
+    def test_no_subnormals_stored(self, finite_basis):
+        # at M = 1000 a sizeable share of the band underflows; those entries
+        # are stored as exact zeros, not as subnormals
+        R = convmat.build(finite_basis, random_kernel(1000, 3), 5000)
+        for row in itertools.chain(R.top, R.band):
+            assert not np.any((row != 0.0) & (np.abs(row) < TINY))
+
+    def test_tiny_kernel_keeps_exact_arithmetic(self, finite_basis):
+        # eps^2 max|col0| < tiny: nothing is flushed, so scaling the kernel
+        # by a power of two scales the matrix to within subnormal rounding
+        a, s = random_kernel(30, 4), 2.0 ** -1000
+        R = convmat.build(finite_basis, a, 400)
+        Rs = convmat.build(finite_basis, s * a, 400)
+        scale = s * max(np.abs(R.top).max(), np.abs(R.band).max())
+        for big, small in ((R.top, Rs.top), (R.band, Rs.band)):
+            assert np.abs(small - s * big).max() <= EPS * scale
+
+
+def test_import_loads_no_fft_or_linalg():
+    # scipy.fft takes ~0.4 s to import; it and LAPACK load on first use
+    import voltconv
+    code = ("import sys, voltconv; "
+            "print(sorted(m for m in ('scipy.fft', 'scipy.linalg') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(voltconv.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 BUILDERS = {
