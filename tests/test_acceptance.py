@@ -245,12 +245,12 @@ def test_c10_complexity_scaling():
     # seconds.  Each round builds the three sizes back to back, keeping each
     # size's fastest of three builds; the ratios are taken between one
     # round's minimums, so drift between rounds cancels, and the median over
-    # rounds is compared against the band.  The build costs a + b N with an
-    # N-independent a of a few ms at M = 100 (O(M) vectorised steps); the
-    # sizes are large enough that b N dominates, so the ratios measure the
-    # O(MN) growth rather than that fixed cost.
+    # rounds is compared against the band.  The build costs a + b N, with an
+    # N-independent a of ~7 ms at M = 100 (its O(M) vectorised steps) and
+    # b ~3 ms per 1000 columns; the sizes make b N dominate, so the ratios
+    # measure the O(MN) growth rather than that fixed cost.
     a = random_kernel(100, SEED)
-    sizes = (4000, 8000, 16000)
+    sizes = (8000, 16000, 32000)
 
     def best_time(N, reps=3):
         best = math.inf
