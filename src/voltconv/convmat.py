@@ -313,7 +313,6 @@ def _region_a(tables, M, W, col0, D, flush):
     D[:, 1] = ((B[k] - B[0]) * invA1) * c0[1:M + 3] + (A[k] * invA1) * c0[:M + 2] \
         + (C[k] * invA1) * c0[2:] + shat[0] * c0[1:M + 3]
     Ac = Ainv[2:W + 1]                    # 1 / A_c for c = 2..W at index c - 2
-    Cprev = Ac / Cinv[:W - 1]             # C_{c-2} / A_c
     negAinv = -Ainv
     has_b = np.any(B)
     ab = np.ones((2, W - 1), order="F")   # unit diagonal, then -mu_{c+1}
@@ -323,13 +322,19 @@ def _region_a(tables, M, W, col0, D, flush):
         hi = min(W, max(ends[d + 1] + 1, ends[d + 2] + 2, M + 1 - d, 2))
         g = D[d, 2:hi + 1]
         n = hi - 1
+        # mu = 1 on the main diagonal, so no rounding of its g is ever damped:
+        # there g is formed in extended precision and rounded once
+        wide = np.longdouble if d == 0 else np.float64
+        acc = g.astype(wide, copy=False)
+        a_c = Ac[:n].astype(wide, copy=False)
         if d <= M and has_b:
-            g += ((B[d + 2:d + hi + 1] - B[1:hi]) * Ac[:n]) * D[d + 1, 1:hi]
+            acc += ((B[d + 2:d + hi + 1] - B[1:hi]) * a_c) * D[d + 1, 1:hi]
         if d < M:
-            g += (Ac[:n] / Cinv[d + 2:d + hi + 1]) * D[d + 2, 1:hi]
+            acc += (a_c / Cinv[d + 2:d + hi + 1]) * D[d + 2, 1:hi]
             c0s = col0[d + 2:]            # column 0 at rows c + d <= M+1
-            g[:c0s.size] += shat[1:c0s.size + 1] * c0s
-            g -= Cprev[:n] * D[d + 2, :hi - 1]
+            acc[:c0s.size] += shat[1:c0s.size + 1].astype(wide) * c0s
+            acc -= (a_c / Cinv[:n]) * D[d + 2, :hi - 1]    # C_{c-2} / A_c
+        g[...] = acc
         lo = 2
         while True:
             x = D[d, lo:hi + 1]
