@@ -15,8 +15,9 @@ from .convmat import (ConvMatrix, RecurrenceTables, apply, build,
                       symmetry_ratio, to_dense)
 from .errors import (ArgumentError, BasisParameterError, ConvergenceError,
                      DegenerateParameterError, DimensionError, DomainError,
-                     DomainMismatchError, NonResolutionError, OversizeError,
-                     SingularSystemError, UnsupportedBasisError, VoltconvError)
+                     DomainMismatchError, NarrowLongdoubleError, NonResolutionError,
+                     OversizeError, SingularSystemError, UnsupportedBasisError,
+                     VoltconvError)
 from .laguerre import (LaguerreConvMatrix, apply_laguerre, build_laguerre,
                        fit_laguerre, to_dense_laguerre)
 from .oracle import (ErrorReport, compare_entrywise, conv_coeff_block,

@@ -148,23 +148,43 @@ def recurrence_abc(basis: BasisSpec, n, dtype=float):
     raise UnsupportedBasisError(basis.kind)
 
 
+def _recurrence_step(tables, k: int, x: np.ndarray, p: np.ndarray,
+                     pm1: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = (A_k x + B_k) p + C_k pm1 = p_{k+1}(x), without allocating.
+
+    ``tables`` comes from _step_tables.  ``out`` may be ``pm1`` (an in-place
+    update); ``tmp`` is scratch of x's shape.  This is the one place the
+    forward recurrence is written, so every caller gets the same bits as
+    poly_vandermonde.  Returns ``out``.
+    """
+    A, B, C = tables
+    np.multiply(x, A[k], out=tmp)
+    if B is not None:
+        np.add(tmp, B[k], out=tmp)
+    np.multiply(tmp, p, out=tmp)
+    np.multiply(pm1, C[k], out=out)
+    return np.add(tmp, out, out=out)
+
+
+def _step_tables(basis: BasisSpec, n: int, dtype):
+    """(A, B, C) for degrees 0..n-1, with B = None where it is all zero."""
+    A, B, C = recurrence_abc(basis, np.arange(n), dtype)
+    return A, (B if B.any() else None), C
+
+
 def forward(basis: BasisSpec, x: np.ndarray, n: int) -> Iterator[np.ndarray]:
     """Yield p_0(x), ..., p_n(x) by forward recurrence, in x's dtype.
 
     Float64 or longdouble (other inputs are promoted to float64); no
-    Laguerre weight.  Only the last two values are held.
+    Laguerre weight.  Each yielded array is new, so callers may keep it.
     """
     x = np.asarray(x)
     x = x.astype(np.result_type(x, float), copy=False)
-    A, B, C = recurrence_abc(basis, np.arange(n), x.dtype.type)
-    pm1 = np.ones_like(x)
-    yield pm1
-    if n == 0:
-        return
-    p = A[0] * x + B[0]
+    tables = _step_tables(basis, n, x.dtype.type)
+    p, pm1, tmp = np.ones_like(x), np.zeros_like(x), np.empty_like(x)
     yield p
-    for k in range(1, n):
-        p, pm1 = (A[k] * x + B[k]) * p + C[k] * pm1, p
+    for k in range(n):
+        p, pm1 = _recurrence_step(tables, k, x, p, pm1, np.empty_like(x), tmp), p
         yield p
 
 

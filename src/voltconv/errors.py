@@ -54,3 +54,7 @@ class OversizeError(VoltconvError, ValueError):
 
 class SingularSystemError(VoltconvError, RuntimeError):
     """Linear system is numerically singular (pivot under threshold)."""
+
+
+class NarrowLongdoubleError(VoltconvError, RuntimeError):
+    """The extended tier needs np.longdouble wider than float64."""

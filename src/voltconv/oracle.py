@@ -11,7 +11,12 @@ extended tier ("extended") whose quadrature nodes, recurrences and dot
 products run in longdouble.  The extended tier exists because at large
 M, N the integrands oscillate violently and the comparison tolerances sit
 below the double-precision quadrature noise floor (node rounding alone
-contributes O(eps * w * g')).
+contributes O(eps * w * g')).  Its projection onto the basis is the one
+matrix product numpy has no BLAS for in longdouble; it runs as float64
+GEMMs on exact slices of the operands, which round nothing
+(_split_matmul), and is more accurate than a longdouble matmul.  Where
+np.longdouble is no wider than float64, the extended tier refuses
+(NarrowLongdoubleError) rather than run in double.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .quadrature import LD
 from .series import PolySeries, clenshaw, evaluate
 
 COEFF_ORACLE_CAP = 600  # max M+n for entrywise columns; sample pointwise beyond
+_LD_BITS = np.finfo(LD).nmant + 1
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,8 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
         raise DomainMismatchError("coefficient oracle needs a finite-interval basis")
     N = _size(N)
     M = f.degree
+    if extended:
+        quadrature.require_extended()
     if M + N > COEFF_ORACLE_CAP:
         raise OversizeError(
             f"M+N = {M + N} beyond the coefficient-oracle cap {COEFF_ORACLE_CAP}; "
@@ -67,16 +75,11 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
     al, be = bases.weight_parameters(f.basis)
     proj = quadrature.cached_gauss_jacobi(al, be, J, extended=extended)
     y, W = proj.x, proj.w
-    t, G = _kernel_on_grid(f, y, q, extended)
-
-    # H[j, n] = h_n(y_j) accumulated from the p_n recurrence over the t grid
-    H = np.empty((J, N + 1), dtype=y.dtype)
-    for n, p in enumerate(bases.forward(f.basis, t, N)):
-        H[:, n] = np.sum(G * p, axis=1)
+    WH = _h_values(f, y, q, N, extended).T     # (J, N+1)
+    WH *= W[:, None]
 
     V = bases.poly_vandermonde(f.basis, y, K)
-    WH = W[:, None] * H
-    num = V.T @ WH                    # (K+1, N+1)
+    num = _split_matmul(V.T, WH) if extended else V.T @ WH   # (K+1, N+1)
     norms = (W[:, None] * V * V).sum(axis=0)
     cols = num / norms[:, None]
     out = np.zeros((M + N + 2, N + 1))
@@ -85,6 +88,57 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
     for n in range(N + 1):
         out[M + n + 2:, n] = 0.0
     return out
+
+
+def _split_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for longdouble matrices, from float64 GEMMs that round nothing.
+
+    Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59(1), 2012.  Each row of
+    a and each column of b is split, relative to its own largest entry, into
+    integer-valued float64 slices of beta bits, with beta chosen so that no
+    sum of J slice products exceeds 2^53: every slice product is then exact
+    in any summation order.  The partial products are added in
+    longdouble, smallest first.  Entries down to 2^-20 of their line's
+    largest keep their full longdouble significand.
+    """
+    J = a.shape[1]
+    beta = (53 - (J - 1).bit_length()) // 2
+    count = -(-(_LD_BITS + 20) // beta)
+    ea, sa = _slices(a, 1, beta, count)
+    eb, sb = _slices(b, 0, beta, count)
+    acc = np.zeros((a.shape[0], b.shape[1]), dtype=LD)
+    for level in reversed(range(count)):
+        acc *= LD(2.0) ** -beta
+        for i in range(level + 1):
+            acc += sa[i] @ sb[level - i]
+    return np.ldexp(acc, ea + eb - 2 * beta)
+
+
+def _slices(x: np.ndarray, axis: int, beta: int, count: int):
+    """Exponents e (max |x| < 2^e along axis) and float64 integer slices s_i
+    with x ~ 2^(e - beta) sum_i s_i 2^(-i beta), |s_i| <= 2^beta."""
+    e = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
+    r = np.ldexp(x, beta - e)
+    out = []
+    for _ in range(count):
+        s = np.rint(r, out=np.empty(r.shape))
+        out.append(s)
+        r -= s
+        r *= LD(2.0) ** beta
+    return e, out
+
+
+def _h_values(f: PolySeries, y: np.ndarray, q: int, N: int, extended: bool):
+    """H[n, j] = h_n(y_j): the q-point rule on [-1, y_j] applied to p_n."""
+    t, G = _kernel_on_grid(f, y, q, extended)
+    tables = bases._step_tables(f.basis, N, t.dtype.type)
+    p, pm1, tmp = np.ones_like(t), np.zeros_like(t), np.empty_like(t)
+    H = np.empty((N + 1, len(y)), dtype=t.dtype)
+    np.einsum("ji,ji->j", G, p, out=H[0])
+    for n in range(N):
+        p, pm1 = bases._recurrence_step(tables, n, t, p, pm1, pm1, tmp), p
+        np.einsum("ji,ji->j", G, p, out=H[n + 1])
+    return H
 
 
 def _kernel_on_grid(f: PolySeries, y: np.ndarray, q: int, extended: bool):
@@ -174,6 +228,7 @@ def sampled_value_errors(R: ConvMatrix, f: PolySeries, n_samples: int,
     to doubles costs ~1e-4 absolutely; entry-scale accuracy is what the
     construction claims and what this check measures.
     """
+    quadrature.require_extended()
     M, N = R.M, R.N
     rng = SplitMix64(seed)
     ncols = rng.integers(n_samples, N)
@@ -205,39 +260,29 @@ def _pn_rows(basis: BasisSpec, t: np.ndarray, ncols: np.ndarray) -> np.ndarray:
     """Row i of the result is p_{ncols[i]}(t[i, :]), in t's precision.
 
     Chebyshev uses the cosine closed form; the others run the forward
-    recurrence sorted by target degree, dropping rows from the active set
-    once their degree is reached (cost ~ sum of the individual degrees).
+    recurrence on the rows sorted by target degree, dropping each prefix of
+    rows from the active set once its degree is reached (cost ~ sum of the
+    individual degrees).
     """
     if basis.kind == bases.CHEBYSHEV:
         theta = np.arccos(t)
         return np.cos(np.asarray(ncols).astype(t.dtype)[:, None] * theta)
-    out = np.empty_like(t)
     nc = np.asarray(ncols)
     order = np.argsort(nc, kind="stable")
     nn = nc[order]
-    tt = t[order]
-    dt = t.dtype.type
-    i0 = int(np.searchsorted(nn, 1))
-    for j in range(i0):
-        out[order[j]] = 1.0
-    order, nn, tt = order[i0:], nn[i0:], tt[i0:]
-    if len(nn) == 0:
-        return out
-    A, B, C = bases.recurrence_abc(basis, np.arange(nn[-1]), dt)
-    pm1 = np.ones_like(tt)
-    p = A[0] * tt + B[0]
-    k = 1
-    while len(nn):
-        ndone = int(np.searchsorted(nn, k + 1))   # prefix rows of degree k
-        for j in range(ndone):
-            out[order[j]] = p[j]
-        if ndone:
-            order, nn = order[ndone:], nn[ndone:]
-            tt, p, pm1 = tt[ndone:], p[ndone:], pm1[ndone:]
-        if not len(nn):
-            break
-        p, pm1 = (A[k] * tt + B[k]) * p + C[k] * pm1, p
-        k += 1
+    x = t[order]
+    top = int(nn[-1]) if len(nn) else 0
+    tables = bases._step_tables(basis, top, t.dtype.type)
+    p, pm1, tmp = np.ones_like(x), np.zeros_like(x), np.empty_like(x)
+    out = np.empty_like(t)
+    done = 0
+    for k, end in enumerate(np.searchsorted(nn, np.arange(top + 1), side="right")):
+        out[order[done:end]] = p[done:end]    # the rows whose degree is k
+        done = end
+        if k < top:
+            bases._recurrence_step(tables, k, x[done:], p[done:], pm1[done:],
+                                   pm1[done:], tmp[done:])
+            p, pm1 = pm1, p
     return out
 
 

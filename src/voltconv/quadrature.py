@@ -24,11 +24,22 @@ import numpy as np
 
 from . import bases
 from .bases import BasisSpec
-from .errors import ArgumentError, ConvergenceError
+from .errors import ArgumentError, ConvergenceError, NarrowLongdoubleError
 
 _MAX_NEWTON = 100
 LD = np.longdouble
 PI_LD = LD("3.14159265358979323846264338327950288")
+# Where np.longdouble is plain double (MSVC, some ARM builds) the extended
+# tier would silently run in double, so its entry points refuse instead.
+EXTENDED_AVAILABLE = bool(np.finfo(LD).eps < 1e-16)
+
+
+def require_extended() -> None:
+    """Raise NarrowLongdoubleError unless np.longdouble is wider than float64."""
+    if not EXTENDED_AVAILABLE:
+        raise NarrowLongdoubleError(
+            f"the extended tier needs np.longdouble wider than float64; "
+            f"its eps here is {np.finfo(LD).eps:.3g}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +132,8 @@ def gauss_jacobi(alpha: float, beta: float, n: int,
         raise ArgumentError("need at least one quadrature node")
     if not (alpha > -1.0 and beta > -1.0):
         raise ArgumentError("Gauss-Jacobi needs alpha, beta > -1")
+    if extended:
+        require_extended()
     if alpha == beta == -0.5:
         return _gauss_chebyshev(n, extended)
     if alpha == beta == 0.0:

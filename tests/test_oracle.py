@@ -1,9 +1,23 @@
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 
-from voltconv import bases, convmat, oracle
-from voltconv.errors import ArgumentError, DimensionError, OversizeError
+from voltconv import bases, convmat, oracle, quadrature
+from voltconv.errors import (ArgumentError, DimensionError, NarrowLongdoubleError,
+                             OversizeError)
+from voltconv.prng import random_kernel
 from voltconv.series import PolySeries, evaluate, indefinite_integral_cheb
+
+LD = np.longdouble
+EXTENDED_BASES = {
+    "chebyshev": bases.chebyshev(),
+    "legendre": bases.legendre(),
+    "gegenbauer2": bases.gegenbauer(2.0),
+    "jacobi_2_1.5": bases.jacobi(2.0, 1.5),
+    "jacobi_-0.5_0.3": bases.jacobi(-0.5, 0.3),
+}
 
 
 class TestCoefficientOracle:
@@ -132,3 +146,170 @@ class TestReports:
         rep_s = oracle.compare_entrywise(stable, cols)
         assert rep_n.max_abs >= 1e3
         assert rep_s.max_abs <= 1e-13
+
+
+def _ld_matrix(rng, shape):
+    """Longdouble entries in [-1, 1) that use the whole 64-bit significand."""
+    return (rng.uniform(-1, 1, shape).astype(LD)
+            + rng.uniform(-1, 1, shape).astype(LD) * LD(2.0) ** -53)
+
+
+class TestSplitMatmul:
+    @pytest.fixture
+    def scaled_pair(self):
+        # rows of a and columns of b spread across 2^-60 .. 2^60
+        rng = np.random.default_rng(5)
+        a = _ld_matrix(rng, (6, 13)) * LD(2.0) ** rng.integers(-60, 61, (6, 1))
+        b = _ld_matrix(rng, (13, 5)) * LD(2.0) ** rng.integers(-60, 61, (1, 5))
+        return a, b
+
+    def test_within_one_longdouble_eps_of_exact(self, scaled_pair):
+        a, b = scaled_pair
+        got = oracle._split_matmul(a, b)
+        eps = Fraction(*np.finfo(LD).eps.as_integer_ratio())
+        fa = [[Fraction(*v.as_integer_ratio()) for v in row] for row in a]
+        fb = [[Fraction(*v.as_integer_ratio()) for v in row] for row in b]
+        for i in range(a.shape[0]):
+            for j in range(b.shape[1]):
+                terms = [fa[i][k] * fb[k][j] for k in range(a.shape[1])]
+                err = abs(Fraction(*got[i, j].as_integer_ratio()) - sum(terms))
+                assert err <= eps * sum(abs(t) for t in terms), (i, j)
+
+    def test_summation_order_does_not_matter(self, scaled_pair):
+        # every slice product is exact, so permuting the summed index
+        # cannot change a single bit
+        a, b = scaled_pair
+        perm = np.random.default_rng(6).permutation(a.shape[1])
+        np.testing.assert_array_equal(oracle._split_matmul(a[:, perm], b[perm]),
+                                      oracle._split_matmul(a, b))
+
+
+class TestNarrowLongdouble:
+    def test_extended_paths_refuse(self, monkeypatch):
+        f = PolySeries(bases.legendre(), (-1, 1), [1.0, 0.5])
+        R = convmat.build(bases.legendre(), [1.0, 0.5], 10)
+        calls = [lambda: oracle.conv_coeff_block(f, 10, extended=True),
+                 lambda: oracle.sampled_value_errors(R, f, 3, 1),
+                 lambda: quadrature.gauss_jacobi(1.0, 0.5, 7, extended=True),
+                 lambda: quadrature.gauss_legendre(7, extended=True)]
+        for call in calls:
+            call()    # fills the rule caches, which must not bypass the check
+        monkeypatch.setattr(quadrature, "EXTENDED_AVAILABLE", False)
+        for call in calls:
+            with pytest.raises(NarrowLongdoubleError, match="eps here is"):
+                call()
+        # the float64 tier does not need longdouble
+        assert oracle.conv_coeff_block(f, 10).shape == (13, 11)
+        assert quadrature.gauss_jacobi(1.0, 0.5, 7).x.dtype == np.float64
+
+
+@pytest.mark.parametrize("basis", [bases.legendre(), bases.gegenbauer(2.0),
+                                   bases.jacobi(2.0, 1.5), bases.jacobi(-0.5, 0.3),
+                                   bases.jacobi(1.5, 1.5)],
+                         ids=["legendre", "gegenbauer2", "jacobi_2_1.5",
+                              "jacobi_-0.5_0.3", "jacobi_1.5_1.5"])
+def test_pn_rows_share_the_vandermonde_recurrence(basis):
+    rng = np.random.default_rng(7)
+    ncols = rng.integers(0, 60, 25)
+    t = rng.uniform(-1, 1, (25, 9)).astype(LD)
+    rows = oracle._pn_rows(basis, t, ncols)
+    for i, n in enumerate(ncols):
+        assert np.array_equal(rows[i], bases.poly_vandermonde(basis, t[i], n)[..., n])
+
+
+def _mp_basis_monomials(basis, K):
+    """Monomial coefficients of p_0 .. p_K from the classical three-term
+    recurrences, written out in mpmath."""
+    mpf = mpmath.mpf
+    x_times = lambda p: [mpf(0)] + p
+
+    def lin(c1, p1, c0, p0):
+        n = max(len(p1), len(p0))
+        p1, p0 = p1 + [mpf(0)] * (n - len(p1)), p0 + [mpf(0)] * (n - len(p0))
+        return [c1 * u + c0 * v for u, v in zip(p1, p0)]
+
+    if basis.kind == bases.JACOBI:
+        a, b = mpf(basis.alpha), mpf(basis.beta)
+        P = [[mpf(1)], [(a - b) / 2, (a + b + 2) / 2]]
+    elif basis.kind == bases.GEGENBAUER:
+        lam = mpf(basis.lam)
+        P = [[mpf(1)], [mpf(0), 2 * lam]]
+    else:
+        P = [[mpf(1)], [mpf(0), mpf(1)]]
+    for k in range(1, K):
+        xp = x_times(P[k])
+        if basis.kind == bases.CHEBYSHEV:
+            nxt = lin(2, xp, -1, P[k - 1])
+        elif basis.kind == bases.LEGENDRE:
+            nxt = lin(mpf(2 * k + 1) / (k + 1), xp, -mpf(k) / (k + 1), P[k - 1])
+        elif basis.kind == bases.GEGENBAUER:
+            nxt = lin(2 * (k + lam) / (k + 1), xp, -(k + 2 * lam - 1) / (k + 1), P[k - 1])
+        else:
+            s = 2 * k + a + b
+            d = 2 * (k + 1) * (k + a + b + 1) * s
+            nxt = lin((s + 1) / d, lin((s + 2) * s, xp, a * a - b * b, P[k]),
+                      -2 * (k + a) * (k + b) * (s + 2) / d, P[k - 1])
+        P.append(nxt)
+    return P[:K + 1]
+
+
+def _mp_columns(basis, a, N):
+    """Columns 0..N of the convolution matrix by exact polynomial algebra:
+    h_n(y) = int_{-1}^{y} f(y - 1 - t) p_n(t) dt expanded in monomials, then
+    converted back to the basis by triangular elimination."""
+    mpf, binom = mpmath.mpf, mpmath.binomial
+    M = len(a) - 1
+    P = _mp_basis_monomials(basis, M + N + 1)
+    F = [mpf(0)] * (M + 1)
+    for m, am in enumerate(a):
+        for i, c in enumerate(P[m]):
+            F[i] += mpf(float(am)) * c
+
+    def mul(p, q):
+        out = [mpf(0)] * (len(p) + len(q) - 1)
+        for i, u in enumerate(p):
+            for j, v in enumerate(q):
+                out[i + j] += u * v
+        return out
+
+    ym1_pow = [[mpf(1)]]
+    for _ in range(M):
+        ym1_pow.append(mul(ym1_pow[-1], [mpf(-1), mpf(1)]))
+    cols = []
+    for n in range(N + 1):
+        h = [mpf(0)] * (M + n + 2)
+        for r in range(M + 1):
+            # int_{-1}^{y} t^r p_n(t) dt, and sum_i F_i C(i, r) (-1)^r (y-1)^(i-r)
+            integral = [mpf(0)] * (r + n + 2)
+            for s, c in enumerate(P[n]):
+                integral[r + s + 1] += c / (r + s + 1)
+                integral[0] -= c * (-1) ** (r + s + 1) / (r + s + 1)
+            q = [mpf(0)] * (M - r + 1)
+            for i in range(r, M + 1):
+                for j, c in enumerate(ym1_pow[i - r]):
+                    q[j] += F[i] * binom(i, r) * (-1) ** r * c
+            for j, c in enumerate(mul(q, integral)):
+                h[j] += c
+        col = [mpf(0)] * (M + N + 2)
+        for k in range(M + n + 1, -1, -1):
+            col[k] = h[k] / P[k][k]
+            for j, c in enumerate(P[k]):
+                h[j] -= col[k] * c
+        cols.append(col)
+    return cols
+
+
+@pytest.mark.parametrize("name", list(EXTENDED_BASES))
+@pytest.mark.parametrize("M,N", [(5, 15), (12, 8)])
+def test_extended_block_matches_mpmath(name, M, N):
+    basis = EXTENDED_BASES[name]
+    a = random_kernel(M, 3)
+    cols = oracle.conv_coeff_block(PolySeries(basis, (-1, 1), a), N, extended=True)
+    with mpmath.workdps(40):
+        exact = _mp_columns(basis, a, N)
+        err = np.array([[float(abs(mpmath.mpf(float(cols[k, n])) - exact[n][k]))
+                         for n in range(N + 1)] for k in range(M + N + 2)])
+    ref = np.abs(np.array([[float(exact[n][k]) for n in range(N + 1)]
+                           for k in range(M + N + 2)]))
+    bound = np.finfo(float).eps / 2 * ref + 2e-17 * ref.max()
+    assert np.all(err <= bound), float(np.max(err / bound))
