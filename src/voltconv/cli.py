@@ -2,7 +2,9 @@
 
 All subcommands are deterministic given their flags; seeded runs use the
 package's own splitmix64 stream so results reproduce across platforms.
-Exit codes: 0 success, 2 bad arguments, 3 I/O failure, 4 numerical failure.
+Exit codes: 0 success, 2 bad arguments, 3 I/O failure, 4 numerical failure
+(including a platform whose np.longdouble is too narrow for `verify` and
+`instability`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import bases, convmat, laguerre, oracle, series, volterra
 from .errors import (ArgumentError, VoltconvError, SingularSystemError, ConvergenceError,
-                     NonResolutionError)
+                     NarrowLongdoubleError, NonResolutionError)
 from .prng import random_kernel
 
 _EXIT_BAD_ARGS = 2
@@ -285,6 +287,9 @@ def run(argv=None) -> int:
         return _EXIT_IO
     except (SingularSystemError, ConvergenceError, NonResolutionError) as exc:
         print(f"voltconv: numerical failure: {exc}", file=sys.stderr)
+        return _EXIT_NUMERICAL
+    except NarrowLongdoubleError as exc:
+        print(f"voltconv: platform limit: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     except (VoltconvError, argparse.ArgumentTypeError, ValueError, KeyError) as exc:
         print(f"voltconv: invalid arguments: {exc}", file=sys.stderr)

@@ -22,7 +22,8 @@ diagonal / row:
 
 Regions A and C read one RecurrenceTables per basis, with no per-basis
 branch.  Entries below finfo.tiny are stored as exact zeros (see build).
-Every reader of the packed storage lives in this module.
+Every reader of the packed storage lives in this module; apply() reads the
+band through a zero-copy scipy.sparse DIA view of it (ConvMatrix._dia).
 
 The naive single-recursion builder is kept for error-growth studies; above
 the main diagonal its multipliers exceed 1 and roundoff snowballs.
@@ -30,6 +31,7 @@ the main diagonal its multipliers exceed 1 and roundoff snowballs.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -62,7 +64,8 @@ class ConvMatrix:
     (l = u = M+1) of R's rows >= M+1, with zeros wherever k <= M or
     k > M+N+1.  Everything else is a structural zero.  ``scale`` is the
     domain-length Jacobian applied by apply()/to_dense(); the stored
-    entries are always for the canonical interval.
+    entries are always for the canonical interval.  ``_dia`` views band as
+    a scipy.sparse DIA array without copying it.
     """
 
     basis: BasisSpec
@@ -83,6 +86,14 @@ class ConvMatrix:
     @property
     def bandwidth(self) -> int:
         return self.M + 1
+
+    @functools.cached_property
+    def _dia(self):
+        """band as an (M+N+2) x (N+1) dia_array sharing its memory: band row
+        d holds the diagonal n - k = M+1-d, so offsets run M+1 .. -(M+1)."""
+        from scipy.sparse import dia_array
+        return dia_array((self.band, np.arange(self.M + 1, -self.M - 2, -1)),
+                         shape=self.shape)
 
     def entry(self, k: int, n: int) -> float:
         """Scaled entry R_{k,n} (0 outside the stored structure)."""
@@ -263,10 +274,11 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     # rows 0..M+2 over the padded columns: rows M+1 and M+2 repeat the band's
     # and extend it past column W for region C; only rows 0..M are returned
     top = np.zeros((M + 3, Wp + 1))
+    flat = top.reshape(-1)
     band = np.zeros((2 * M + 3, W + 1))  # rows >= M+1, |k-n| <= M+1, cols 0..W
     D = band[M + 1:]                     # D[d, c] = R_{c+d, c}: region A, col 0
     ends = _region_a(tables, M, W, col0, D, flush)
-    diag = top.reshape(-1)[:(M + 1) * (Wp + 1)]   # top rows 0..M, flat
+    diag = flat[:(M + 1) * (Wp + 1)]     # top rows 0..M
     for d in range(M + 1):               # offset d's entries in rows 0..M
         diag[d * (Wp + 1)::Wp + 2] = D[d, :M + 1 - d]
         D[d, :M + 1 - d] = 0.0
@@ -286,8 +298,12 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     # roundoff by the boundary weights, ~n^(2 lam - 1) for Gegenbauer.
     _sweep_region_c(tables, M, N, col0, top, banded, flush)
 
+    # pack rows 1..M to stride N+1 in place: row k's destination ends before
+    # row k+1's source starts, and numpy buffers a row that overlaps itself
+    for k in range(1, M + 1):
+        flat[k * (N + 1):(k + 1) * (N + 1)] = top[k, :N + 1]
     return ConvMatrix(basis, M, N, float(scale),
-                      np.ascontiguousarray(top[:M + 1, :N + 1]),
+                      flat[:(M + 1) * (N + 1)].reshape(M + 1, N + 1),
                       np.ascontiguousarray(band[:, :N + 1]))
 
 
@@ -508,18 +524,6 @@ def build_chebyshev_naive(a, N: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # application and export
 
-def _diagonals(M: int, nrows: int, ncols: int):
-    """(o, nlo, nhi) per band row o+M+1 with entries R_{n+o, n} in the block.
-
-    The block is rows M+1..nrows-1 and columns 0..ncols-1; n runs nlo..nhi.
-    """
-    for o in range(-(M + 1), M + 2):
-        nlo = max(0, M + 1 - o)
-        nhi = min(ncols - 1, nrows - 1 - o)
-        if nlo <= nhi:
-            yield o, nlo, nhi
-
-
 def _entries(R: ConvMatrix, nrows: int, ncols: int):
     """Rows, columns and unscaled values of R's stored entries in its leading
     nrows x ncols block, yielded one top row and then one band diagonal at a
@@ -528,9 +532,10 @@ def _entries(R: ConvMatrix, nrows: int, ncols: int):
     M = R.M
     for k in range(min(M + 1, nrows)):
         yield np.full(ncols, k), np.arange(ncols), R.top[k, :ncols]
-    for o, nlo, nhi in _diagonals(M, nrows, ncols):
-        n = np.arange(nlo, nhi + 1)
-        yield n + o, n, R.band[o + M + 1, nlo:nhi + 1]
+    for o in range(-(M + 1), M + 2):    # band row o+M+1 holds R_{n+o, n}
+        n = np.arange(max(0, M + 1 - o), min(ncols, nrows - o))
+        if n.size:
+            yield n + o, n, R.band[o + M + 1, n[0]:n[-1] + 1]
 
 
 def _dense(R: ConvMatrix, nrows: int, ncols: int) -> np.ndarray:
@@ -562,12 +567,12 @@ def apply(R: ConvMatrix, b) -> np.ndarray:
         raise DimensionError("b must be a vector")
     if b.size > R.N + 1:
         raise DimensionError(f"b has {b.size} entries; at most {R.N + 1} allowed")
-    M, N = R.M, R.N
-    out = np.zeros(M + N + 2)
-    out[:M + 1] = R.top[:, :b.size] @ b
-    for o, nlo, nhi in _diagonals(M, M + N + 2, b.size):
-        out[nlo + o:nhi + o + 1] += R.band[o + M + 1, nlo:nhi + 1] * b[nlo:nhi + 1]
-    return R.scale * out
+    x = np.zeros(R.N + 1)
+    x[:b.size] = b
+    out = R._dia @ x          # the band is zero on rows 0..M
+    out[:R.M + 1] += R.top[:, :b.size] @ b
+    out *= R.scale
+    return out
 
 
 def to_dense(R: ConvMatrix) -> np.ndarray:

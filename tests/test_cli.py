@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from voltconv import quadrature
 from voltconv.cli import run
 from voltconv.prng import SplitMix64, random_kernel
 from voltconv.series import evaluate, series_from_json
@@ -130,6 +131,14 @@ class TestSubcommands:
         assert run(["solve", "--kernel", one_json, "--rhs", one_json,
                     "-N", "0", "--out", str(tmp_path / "u.json")]) == 4
         capsys.readouterr()
+
+    def test_narrow_longdouble_is_a_platform_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(quadrature, "EXTENDED_AVAILABLE", False)
+        assert run(["verify", "--basis", "legendre", "-M", "3", "-N", "10",
+                    "--seed", "1"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("voltconv: platform limit: ")
+        assert "longdouble" in err and "invalid arguments" not in err
 
     def test_determinism(self, tmp_path, capsys):
         outs = []

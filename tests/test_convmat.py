@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,24 @@ class TestNaive:
         assert abs(stable[0, 50]) <= 1.0
 
 
+APPLY_BASES = {"chebyshev": bases.chebyshev(), "legendre": bases.legendre(),
+               "gegenbauer2": bases.gegenbauer(2.0), "jacobi_2_1.5": bases.jacobi(2.0, 1.5),
+               "jacobi_-0.5_0.3": bases.jacobi(-0.5, 0.3)}
+
+
+def reference_apply(R, b):
+    """scale * (R b) by one loop over the band diagonals in band row order,
+    after the top rows' product on rows 0..M."""
+    M, N = R.M, R.N
+    out = np.zeros(M + N + 2)
+    out[:M + 1] = R.top[:, :b.size] @ b
+    for o in range(-(M + 1), M + 2):          # band row o + M + 1: R_{n+o, n}
+        nlo, nhi = max(0, M + 1 - o), min(b.size - 1, M + N + 1 - o)
+        if nlo <= nhi:
+            out[nlo + o:nhi + o + 1] += R.band[o + M + 1, nlo:nhi + 1] * b[nlo:nhi + 1]
+    return R.scale * out
+
+
 class TestApply:
     def test_column_selection(self):
         R = convmat.build_chebyshev([1.0], 2)
@@ -289,6 +308,27 @@ class TestApply:
         R = convmat.build_chebyshev([1.0], 2)
         with pytest.raises(DimensionError):
             convmat.apply(R, np.ones(4))
+
+    @pytest.mark.parametrize("basis", list(APPLY_BASES.values()), ids=list(APPLY_BASES))
+    @pytest.mark.parametrize("M, N", [(0, 0), (3, 1), (5, 12), (10, 15), (40, 60),
+                                      (10, 200)])
+    def test_matches_diagonal_loop(self, basis, M, N):
+        a = np.random.default_rng(M + 17 * N).uniform(-1, 1, M + 1)
+        R = convmat.build(basis, a, N, scale=0.7)
+        rng = np.random.default_rng(N)
+        for size in (0, 1, N // 2 + 1, N + 1):
+            b = rng.uniform(-1, 1, size)
+            assert np.array_equal(convmat.apply(R, b), reference_apply(R, b)), size
+
+    def test_dia_view_shares_band(self):
+        R = convmat.build(bases.jacobi(2.0, 1.5), random_kernel(10, 2), 50)
+        b = np.ones(51)
+        convmat.apply(R, b)
+        view = R._dia
+        assert np.shares_memory(view.data, R.band)
+        assert view.shape == R.shape
+        convmat.apply(R, b)
+        assert R._dia is view
 
     def test_matches_dense_columns(self, finite_basis):
         rng = np.random.default_rng(10)
@@ -360,11 +400,28 @@ class TestRegionA:
             assert np.abs(small - s * big).max() <= EPS * scale
 
 
+def test_build_memory_is_its_work_arrays(finite_basis):
+    # the build's peak is its (M+3) x (N+M+2) work array plus band: the
+    # returned top is packed into the work array's prefix, not copied out
+    M, N = 200, 1000
+    a = random_kernel(M, 3)
+    convmat.build(finite_basis, a, N)         # LAPACK's import is not traced
+    tracemalloc.start()
+    try:
+        convmat.build(finite_basis, a, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    work = 8 * ((M + 3) * (N + M + 2) + (2 * M + 3) * (N + 1))
+    assert peak <= 1.1 * work, peak / work
+
+
 def test_import_loads_no_fft_or_linalg():
-    # scipy.fft takes ~0.4 s to import; it and LAPACK load on first use
+    # scipy.fft takes ~0.4 s to import; it, LAPACK and scipy.sparse load on
+    # first use
     import voltconv
-    code = ("import sys, voltconv; "
-            "print(sorted(m for m in ('scipy.fft', 'scipy.linalg') if m in sys.modules))")
+    code = ("import sys, voltconv; print(sorted(m for m in "
+            "('scipy.fft', 'scipy.linalg', 'scipy.sparse') if m in sys.modules))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(voltconv.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
