@@ -17,10 +17,24 @@ GEMMs on exact slices of the operands, which round nothing
 (_split_matmul), and is more accurate than a longdouble matmul.  Where
 np.longdouble is no wider than float64, the extended tier refuses
 (NarrowLongdoubleError) rather than run in double.
+
+The two grid recurrences, h_n at the projection nodes (_h_values) and p_n
+at the sampled points (_pn_rows), treat every grid row on its own, and
+numpy releases the GIL inside their ufunc loops.  Each call splits the rows
+over one thread per CPU the process may use, in a pool that lives for the
+call (_run_split); the result has the same bits for any thread count.
+Every buffer the workers write is allocated by the caller before the split,
+and the workers call private functions only: the kernel's Clenshaw, the
+recurrence tables and the projection GEMMs all run on the calling thread,
+so a wrapper that a caller puts around a public voltconv function is only
+ever entered from that thread.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -56,8 +70,8 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
 
     Pure quadrature: h_n sampled at the projection nodes by exact-degree
     Gauss-Legendre on [-1, y_j], then projected by exact-degree Gauss-Jacobi
-    inner products.  Column n is zero below row M+n+1 by construction of the
-    integrand's degree; entries are computed, not assumed.
+    inner products.  h_n has degree M+n+1, so the entries of column n below
+    row M+n+1 are set to zero rather than taken from the projection.
     """
     if not f.basis.finite_interval:
         raise DomainMismatchError("coefficient oracle needs a finite-interval basis")
@@ -81,12 +95,8 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
     V = bases.poly_vandermonde(f.basis, y, K)
     num = _split_matmul(V.T, WH) if extended else V.T @ WH   # (K+1, N+1)
     norms = (W[:, None] * V * V).sum(axis=0)
-    cols = num / norms[:, None]
-    out = np.zeros((M + N + 2, N + 1))
-    out[:K + 1] = cols.astype(float)
-    # structural zeros: h_n has degree M+n+1 exactly
-    for n in range(N + 1):
-        out[M + n + 2:, n] = 0.0
+    out = (num / norms[:, None]).astype(float, copy=False)   # (M+N+2, N+1)
+    out[np.tri(K + 1, N + 1, -(M + 2), dtype=bool)] = 0.0     # rows k > M+n+1
     return out
 
 
@@ -129,16 +139,26 @@ def _slices(x: np.ndarray, axis: int, beta: int, count: int):
 
 
 def _h_values(f: PolySeries, y: np.ndarray, q: int, N: int, extended: bool):
-    """H[n, j] = h_n(y_j): the q-point rule on [-1, y_j] applied to p_n."""
+    """H[n, j] = h_n(y_j): the q-point rule on [-1, y_j] applied to p_n.
+
+    The nodes y_j are cut into contiguous blocks, one per worker (_run_split).
+    """
     t, G = _kernel_on_grid(f, y, q, extended)
     tables = bases._step_tables(f.basis, N, t.dtype.type)
     p, pm1, tmp = np.ones_like(t), np.zeros_like(t), np.empty_like(t)
     H = np.empty((N + 1, len(y)), dtype=t.dtype)
+    cuts = np.linspace(0, len(y), _workers(len(y)) + 1).astype(int)
+    _run_split(_h_block, [(tables, G[lo:hi], t[lo:hi], p[lo:hi], pm1[lo:hi],
+                           tmp[lo:hi], H[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])])
+    return H
+
+
+def _h_block(tables, G, t, p, pm1, tmp, H):
+    """H[n, j] = sum_i G[j, i] p_n(t[j, i]) for n = 0..N, in the given buffers."""
     np.einsum("ji,ji->j", G, p, out=H[0])
-    for n in range(N):
+    for n in range(len(H) - 1):
         p, pm1 = bases._recurrence_step(tables, n, t, p, pm1, pm1, tmp), p
         np.einsum("ji,ji->j", G, p, out=H[n + 1])
-    return H
 
 
 def _kernel_on_grid(f: PolySeries, y: np.ndarray, q: int, extended: bool):
@@ -260,30 +280,85 @@ def _pn_rows(basis: BasisSpec, t: np.ndarray, ncols: np.ndarray) -> np.ndarray:
     """Row i of the result is p_{ncols[i]}(t[i, :]), in t's precision.
 
     Chebyshev uses the cosine closed form; the others run the forward
-    recurrence on the rows sorted by target degree, dropping each prefix of
+    recurrence on rows sorted by target degree, dropping each prefix of
     rows from the active set once its degree is reached (cost ~ sum of the
-    individual degrees).
+    individual degrees).  The sorted rows are dealt round-robin into one
+    group per worker, so that every group gets the same mix of degrees, and
+    gathered so that each group's rows are contiguous; each worker runs the
+    shrinking-prefix loop on its own group (_run_split).
     """
     if basis.kind == bases.CHEBYSHEV:
         theta = np.arccos(t)
         return np.cos(np.asarray(ncols).astype(t.dtype)[:, None] * theta)
     nc = np.asarray(ncols)
-    order = np.argsort(nc, kind="stable")
+    groups = _workers(len(nc))
+    by_degree = np.argsort(nc, kind="stable")
+    dealt = [by_degree[g::groups] for g in range(groups)]
+    order = np.concatenate(dealt)
+    cuts = np.cumsum([0] + [len(d) for d in dealt])
     nn = nc[order]
     x = t[order]
-    top = int(nn[-1]) if len(nn) else 0
+    top = int(nn.max(initial=0))
     tables = bases._step_tables(basis, top, t.dtype.type)
     p, pm1, tmp = np.ones_like(x), np.zeros_like(x), np.empty_like(x)
     out = np.empty_like(t)
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        ends = np.searchsorted(nn[lo:hi], np.arange(nn[lo:hi].max(initial=0) + 1),
+                               side="right")
+        parts.append((tables, x[lo:hi], p[lo:hi], pm1[lo:hi], tmp[lo:hi], out,
+                      order[lo:hi], ends))
+    _run_split(_pn_group, parts)
+    return out
+
+
+def _pn_group(tables, x, p, pm1, tmp, out, order, ends):
+    """out[order[i]] = p_n(x[i]) for one group of rows sorted by degree n;
+    ends[k] is one past the group's last row of degree <= k."""
     done = 0
-    for k, end in enumerate(np.searchsorted(nn, np.arange(top + 1), side="right")):
+    for k, end in enumerate(ends):
         out[order[done:end]] = p[done:end]    # the rows whose degree is k
         done = end
-        if k < top:
+        if k < len(ends) - 1:
             bases._recurrence_step(tables, k, x[done:], p[done:], pm1[done:],
                                    pm1[done:], tmp[done:])
             p, pm1 = pm1, p
-    return out
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:    # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(rows: int) -> int:
+    """Worker count for ``rows`` independent grid rows: one per CPU, at most
+    one per row."""
+    return max(1, min(_cpu_count(), rows))
+
+
+def _run_split(work, parts) -> None:
+    """work(*part) for every part, each on its own thread when there are two
+    or more, and inline when there is one.
+
+    Every buffer a part names is allocated by the caller, and ``work`` calls
+    private functions only: the threads neither allocate the large arrays
+    (which would spread them over per-thread malloc arenas) nor enter a
+    public function that a caller may have wrapped.  Each thread runs in a
+    copy of the caller's contextvars context, so np.errstate carries over.
+    Every result is read, so a worker's exception reaches the caller once
+    all threads have ended.
+    """
+    if len(parts) == 1:
+        work(*parts[0])
+        return
+    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, work, *part)
+                   for part in parts]
+        for future in futures:
+            future.result()
 
 
 def report_to_csv(report: ErrorReport) -> str:

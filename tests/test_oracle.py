@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -146,6 +148,115 @@ class TestReports:
         rep_s = oracle.compare_entrywise(stable, cols)
         assert rep_n.max_abs >= 1e3
         assert rep_s.max_abs <= 1e-13
+
+
+def _oracle_outputs(name, M, N):
+    """conv_coeff_block in both tiers and a sampled check, for one basis."""
+    basis = EXTENDED_BASES[name]
+    f = PolySeries(basis, (-1, 1), random_kernel(M, 3))
+    g = PolySeries(basis, (-1, 1), random_kernel(20, 4))
+    R = convmat.build(basis, g.coeffs, 200)
+    return {"double": oracle.conv_coeff_block(f, N),
+            "extended": oracle.conv_coeff_block(f, N, extended=True),
+            "sampled": oracle.sampled_value_errors(R, g, 30, 5).grid}
+
+
+class TestThreadedRecurrences:
+    """The grid recurrences run on worker threads; nothing else does."""
+
+    @pytest.mark.parametrize("name", list(EXTENDED_BASES))
+    def test_bits_do_not_depend_on_the_thread_count(self, name, monkeypatch):
+        # 3 workers are more than a 2-CPU machine has; a short switch
+        # interval makes the threads interleave as often as they can
+        interval = sys.getswitchinterval()
+        runs = {}
+        try:
+            sys.setswitchinterval(1e-6)
+            for cpus in (1, 3):
+                monkeypatch.setattr(oracle, "_cpu_count", lambda cpus=cpus: cpus)
+                runs[cpus] = [_oracle_outputs(name, M, N)
+                              for M, N in ((0, 0), (3, 7), (10, 50))]
+        finally:
+            sys.setswitchinterval(interval)
+        for one, three in zip(runs[1], runs[3]):
+            for key in one:
+                assert one[key].dtype == three[key].dtype
+                assert np.array_equal(one[key], three[key]), key
+        for (M, N), out in zip(((0, 0), (3, 7), (10, 50)), runs[3]):
+            for key in ("double", "extended"):
+                below = np.tri(M + N + 2, N + 1, -(M + 2), dtype=bool)
+                assert out[key].shape == (M + N + 2, N + 1)
+                assert np.all(out[key][below] == 0.0)
+
+    def test_public_functions_run_on_the_calling_thread(self, monkeypatch):
+        # swap every public voltconv function for a recorder, in every
+        # voltconv module that refers to it, as an outside tracer would
+        calls = []
+        wrappers = {}
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("voltconv.") and modname.count(".") == 1:
+                for attr, obj in vars(mod).items():
+                    if (not attr.startswith("_") and callable(obj)
+                            and not isinstance(obj, type)
+                            and getattr(obj, "__module__", None) == modname):
+                        wrappers[id(obj)] = _recorder(f"{modname}.{attr}", obj, calls)
+        for modname, mod in list(sys.modules.items()):
+            if modname == "voltconv" or modname.startswith("voltconv."):
+                for attr, obj in list(vars(mod).items()):
+                    if id(obj) in wrappers:
+                        monkeypatch.setattr(mod, attr, wrappers[id(obj)])
+        workers = set()
+        h_block, pn_group = oracle._h_block, oracle._pn_group
+
+        def on_worker(fn):
+            def run(*args):
+                workers.add(threading.get_ident())
+                return fn(*args)
+            return run
+
+        monkeypatch.setattr(oracle, "_h_block", on_worker(h_block))
+        monkeypatch.setattr(oracle, "_pn_group", on_worker(pn_group))
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 3)
+        before = threading.active_count()
+        _oracle_outputs("jacobi_2_1.5", 10, 50)
+        assert threading.active_count() == before
+        caller = threading.get_ident()
+        names = {name for name, _ in calls}
+        assert {"voltconv.series.clenshaw", "voltconv.bases.recurrence_abc",
+                "voltconv.oracle.conv_coeff_block"} <= names
+        assert {ident for _, ident in calls} == {caller}
+        assert caller not in workers and len(workers) >= 3
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_worker_error_reaches_the_caller(self, cpus, monkeypatch):
+        def fail(*args):
+            raise FloatingPointError("step failed")
+
+        monkeypatch.setattr(bases, "_recurrence_step", fail)
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        f = PolySeries(bases.legendre(), (-1, 1), [1.0, 0.5])
+        R = convmat.build(bases.legendre(), [1.0, 0.5], 10)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="step failed"):
+            oracle.conv_coeff_block(f, 10, extended=True)
+        with pytest.raises(FloatingPointError, match="step failed"):
+            oracle.sampled_value_errors(R, f, 5, 1)
+        assert threading.active_count() == before
+
+    def test_workers_see_the_callers_errstate(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_cpu_count", lambda: 3)
+        basis = bases.jacobi(2.0, 1.5)
+        t = np.full((4, 3), np.inf, dtype=LD)
+        with np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError):
+                oracle._pn_rows(basis, t, np.array([3, 3, 3, 3]))
+
+
+def _recorder(name, fn, calls):
+    def wrapper(*args, **kwargs):
+        calls.append((name, threading.get_ident()))
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def _ld_matrix(rng, shape):
