@@ -285,7 +285,9 @@ def _pn_rows(basis: BasisSpec, t: np.ndarray, ncols: np.ndarray) -> np.ndarray:
     individual degrees).  The sorted rows are dealt round-robin into one
     group per worker, so that every group gets the same mix of degrees, and
     gathered so that each group's rows are contiguous; each worker runs the
-    shrinking-prefix loop on its own group (_run_split).
+    shrinking-prefix loop on its own group (_run_split).  The buffers, the
+    tables and each group's degree boundaries are all made here, on the
+    calling thread, and the workers call private functions only.
     """
     if basis.kind == bases.CHEBYSHEV:
         theta = np.arccos(t)
