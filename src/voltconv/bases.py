@@ -7,10 +7,17 @@ C_n^(lam), Jacobi P_n^(alpha,beta)) satisfies a three-term recurrence
 
 which drives Clenshaw evaluation, Vandermonde assembly and quadrature.  The
 half-line basis is the weighted Laguerre function w(x) L_n(x).
+
+The recurrences treat every point on its own, and numpy releases the GIL
+inside their ufunc loops, so the Clenshaw sum and the oracle's grid
+recurrences split their points over one thread per CPU (_run_split).
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -252,3 +259,40 @@ def gegenbauer_S_array(lam: float, nmax: int) -> np.ndarray:
                         np.cumprod((2.0 * lam - 1.0 + n[:-1]) / (n[:-1] + 2.0))])
     signs = np.where(np.arange(nmax + 1) % 2 == 1, 1.0, -1.0)
     return 2.0 * signs * (lam + n) * r
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:    # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(parts: int) -> int:
+    """Worker count for work that splits into at most ``parts`` independent
+    parts (grid rows, or ranges of points): one per CPU, at most one per
+    part, and at least one."""
+    return max(1, min(_cpu_count(), parts))
+
+
+def _run_split(work, parts) -> None:
+    """work(*part) for every part, each on its own thread when there are two
+    or more, and inline when there is one.
+
+    Every buffer a part names is allocated by the caller, and ``work`` calls
+    private functions only: the threads neither allocate the large arrays
+    (which would spread them over per-thread malloc arenas) nor enter a
+    public function that a caller may have wrapped.  Each thread runs in a
+    copy of the caller's contextvars context, so np.errstate carries over.
+    Every result is read, so a worker's exception reaches the caller once
+    all threads have ended.
+    """
+    if len(parts) == 1:
+        work(*parts[0])
+        return
+    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, work, *part)
+                   for part in parts]
+        for future in futures:
+            future.result()

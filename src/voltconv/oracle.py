@@ -22,19 +22,17 @@ The two grid recurrences, h_n at the projection nodes (_h_values) and p_n
 at the sampled points (_pn_rows), treat every grid row on its own, and
 numpy releases the GIL inside their ufunc loops.  Each call splits the rows
 over one thread per CPU the process may use, in a pool that lives for the
-call (_run_split); the result has the same bits for any thread count.
-Every buffer the workers write is allocated by the caller before the split,
-and the workers call private functions only: the kernel's Clenshaw, the
-recurrence tables and the projection GEMMs all run on the calling thread,
-so a wrapper that a caller puts around a public voltconv function is only
-ever entered from that thread.
+call (bases._run_split); the result has the same bits for any thread count.
+The kernel's values on the grid come from series.clenshaw, which splits its
+points the same way.  Every buffer the workers write is allocated by the
+caller before the split, and the workers call private functions only: the
+public series.clenshaw, the recurrence tables and the projection GEMMs all
+run on the calling thread, so a wrapper that a caller puts around a public
+voltconv function is only ever entered from that thread.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -141,15 +139,16 @@ def _slices(x: np.ndarray, axis: int, beta: int, count: int):
 def _h_values(f: PolySeries, y: np.ndarray, q: int, N: int, extended: bool):
     """H[n, j] = h_n(y_j): the q-point rule on [-1, y_j] applied to p_n.
 
-    The nodes y_j are cut into contiguous blocks, one per worker (_run_split).
+    The nodes y_j are cut into contiguous blocks, one per worker
+    (bases._run_split).
     """
     t, G = _kernel_on_grid(f, y, q, extended)
     tables = bases._step_tables(f.basis, N, t.dtype.type)
     p, pm1, tmp = np.ones_like(t), np.zeros_like(t), np.empty_like(t)
     H = np.empty((N + 1, len(y)), dtype=t.dtype)
-    cuts = np.linspace(0, len(y), _workers(len(y)) + 1).astype(int)
-    _run_split(_h_block, [(tables, G[lo:hi], t[lo:hi], p[lo:hi], pm1[lo:hi],
-                           tmp[lo:hi], H[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])])
+    cuts = np.linspace(0, len(y), bases._workers(len(y)) + 1).astype(int)
+    bases._run_split(_h_block, [(tables, G[lo:hi], t[lo:hi], p[lo:hi], pm1[lo:hi],
+                                 tmp[lo:hi], H[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])])
     return H
 
 
@@ -285,15 +284,15 @@ def _pn_rows(basis: BasisSpec, t: np.ndarray, ncols: np.ndarray) -> np.ndarray:
     individual degrees).  The sorted rows are dealt round-robin into one
     group per worker, so that every group gets the same mix of degrees, and
     gathered so that each group's rows are contiguous; each worker runs the
-    shrinking-prefix loop on its own group (_run_split).  The buffers, the
-    tables and each group's degree boundaries are all made here, on the
+    shrinking-prefix loop on its own group (bases._run_split).  The buffers,
+    the tables and each group's degree boundaries are all made here, on the
     calling thread, and the workers call private functions only.
     """
     if basis.kind == bases.CHEBYSHEV:
         theta = np.arccos(t)
         return np.cos(np.asarray(ncols).astype(t.dtype)[:, None] * theta)
     nc = np.asarray(ncols)
-    groups = _workers(len(nc))
+    groups = bases._workers(len(nc))
     by_degree = np.argsort(nc, kind="stable")
     dealt = [by_degree[g::groups] for g in range(groups)]
     order = np.concatenate(dealt)
@@ -310,7 +309,7 @@ def _pn_rows(basis: BasisSpec, t: np.ndarray, ncols: np.ndarray) -> np.ndarray:
                                side="right")
         parts.append((tables, x[lo:hi], p[lo:hi], pm1[lo:hi], tmp[lo:hi], out,
                       order[lo:hi], ends))
-    _run_split(_pn_group, parts)
+    bases._run_split(_pn_group, parts)
     return out
 
 
@@ -325,42 +324,6 @@ def _pn_group(tables, x, p, pm1, tmp, out, order, ends):
             bases._recurrence_step(tables, k, x[done:], p[done:], pm1[done:],
                                    pm1[done:], tmp[done:])
             p, pm1 = pm1, p
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:    # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _workers(rows: int) -> int:
-    """Worker count for ``rows`` independent grid rows: one per CPU, at most
-    one per row."""
-    return max(1, min(_cpu_count(), rows))
-
-
-def _run_split(work, parts) -> None:
-    """work(*part) for every part, each on its own thread when there are two
-    or more, and inline when there is one.
-
-    Every buffer a part names is allocated by the caller, and ``work`` calls
-    private functions only: the threads neither allocate the large arrays
-    (which would spread them over per-thread malloc arenas) nor enter a
-    public function that a caller may have wrapped.  Each thread runs in a
-    copy of the caller's contextvars context, so np.errstate carries over.
-    Every result is read, so a worker's exception reaches the caller once
-    all threads have ended.
-    """
-    if len(parts) == 1:
-        work(*parts[0])
-        return
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, work, *part)
-                   for part in parts]
-        for future in futures:
-            future.result()
 
 
 def report_to_csv(report: ErrorReport) -> str:

@@ -77,7 +77,13 @@ def _newton_nodes(basis: BasisSpec, n: int, alpha: float, beta: float) -> np.nda
     edges[0], edges[-1] = 1.0, -1.0
     hi, lo = edges[:-1], edges[1:]
     for _ in range(_MAX_NEWTON):
-        dx, _ = _newton_step(basis, alpha, beta, x, n)
+        # a node clamped onto +-1 divides by 1 - x*x = 0: refuse, quietly,
+        # rather than carry the inf or NaN on (or return a NaN weight)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx, dp = _newton_step(basis, alpha, beta, x, n)
+        if not (np.isfinite(dx).all() and np.isfinite(dp).all()):
+            raise ConvergenceError(f"Gauss-Jacobi Newton step is not finite for "
+                                   f"alpha={alpha}, beta={beta}, n={n}")
         x = np.clip(x - dx, lo, hi)
         if np.max(np.abs(dx)) < 1e-14:
             break

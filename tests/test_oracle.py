@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from voltconv import bases, convmat, oracle, quadrature
+from voltconv import bases, convmat, oracle, quadrature, series
 from voltconv.errors import (ArgumentError, DimensionError, NarrowLongdoubleError,
                              OversizeError)
 from voltconv.prng import random_kernel
@@ -173,7 +173,7 @@ class TestThreadedRecurrences:
         try:
             sys.setswitchinterval(1e-6)
             for cpus in (1, 3):
-                monkeypatch.setattr(oracle, "_cpu_count", lambda cpus=cpus: cpus)
+                monkeypatch.setattr(bases, "_cpu_count", lambda cpus=cpus: cpus)
                 runs[cpus] = [_oracle_outputs(name, M, N)
                               for M, N in ((0, 0), (3, 7), (10, 50))]
         finally:
@@ -205,27 +205,35 @@ class TestThreadedRecurrences:
                 for attr, obj in list(vars(mod).items()):
                     if id(obj) in wrappers:
                         monkeypatch.setattr(mod, attr, wrappers[id(obj)])
-        workers = set()
+        workers, kernels = set(), set()
         h_block, pn_group = oracle._h_block, oracle._pn_group
+        clenshaw_rows = series._clenshaw_rows
 
-        def on_worker(fn):
+        def on_worker(fn, seen):
             def run(*args):
-                workers.add(threading.get_ident())
+                seen.add(threading.get_ident())
                 return fn(*args)
             return run
 
-        monkeypatch.setattr(oracle, "_h_block", on_worker(h_block))
-        monkeypatch.setattr(oracle, "_pn_group", on_worker(pn_group))
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(oracle, "_h_block", on_worker(h_block, workers))
+        monkeypatch.setattr(oracle, "_pn_group", on_worker(pn_group, workers))
+        monkeypatch.setattr(series, "_clenshaw_rows", on_worker(clenshaw_rows, kernels))
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
         before = threading.active_count()
         _oracle_outputs("jacobi_2_1.5", 10, 50)
+        # 2000 points x 102 nodes: both of its Clenshaw sums lie above the floor
+        f = PolySeries(bases.legendre(), (-1, 1), random_kernel(100, 3))
+        g = PolySeries(bases.legendre(), (-1, 1), random_kernel(100, 4))
+        oracle.conv_point_oracle(f, g, np.linspace(-2, 0, 2000))
         assert threading.active_count() == before
         caller = threading.get_ident()
         names = {name for name, _ in calls}
         assert {"voltconv.series.clenshaw", "voltconv.bases.recurrence_abc",
-                "voltconv.oracle.conv_coeff_block"} <= names
+                "voltconv.oracle.conv_coeff_block", "voltconv.series.evaluate",
+                "voltconv.oracle.conv_point_oracle"} <= names
         assert {ident for _, ident in calls} == {caller}
         assert caller not in workers and len(workers) >= 3
+        assert len(kernels - {caller}) >= 2
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_worker_error_reaches_the_caller(self, cpus, monkeypatch):
@@ -233,7 +241,7 @@ class TestThreadedRecurrences:
             raise FloatingPointError("step failed")
 
         monkeypatch.setattr(bases, "_recurrence_step", fail)
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: cpus)
         f = PolySeries(bases.legendre(), (-1, 1), [1.0, 0.5])
         R = convmat.build(bases.legendre(), [1.0, 0.5], 10)
         before = threading.active_count()
@@ -244,7 +252,7 @@ class TestThreadedRecurrences:
         assert threading.active_count() == before
 
     def test_workers_see_the_callers_errstate(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
         basis = bases.jacobi(2.0, 1.5)
         t = np.full((4, 3), np.inf, dtype=LD)
         with np.errstate(invalid="raise"):

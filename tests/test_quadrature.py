@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from voltconv import quadrature
-from voltconv.errors import ArgumentError
+from voltconv.errors import ArgumentError, ConvergenceError
 
 
 def weight_mass(a, b):
@@ -50,6 +51,26 @@ class TestGaussJacobi:
         assert r.extended
         s = float(np.sum(r.w.astype(np.longdouble)))
         assert s == pytest.approx(weight_mass(1.5, 1.5), rel=1e-16)
+
+    # (-0.99, 5, 5) clamps a node onto -1, where the Newton step is 0/0;
+    # (-0.99, -0.95, 3) clamps one onto +1, which used to give a NaN weight
+    @pytest.mark.parametrize("abn", [(-0.99, 5.0, 5), (-0.99, -0.95, 3)])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_nonfinite_newton_step_fails_fast_and_quietly(self, abn, extended, monkeypatch):
+        steps = []
+        step = quadrature._newton_step
+
+        def counted(*args):
+            steps.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(quadrature, "_newton_step", counted)
+        a, b, n = abn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=f"alpha={a}, beta={b}, n={n}"):
+                quadrature.gauss_jacobi(a, b, n, extended=extended)
+        assert len(steps) <= 3
 
     def test_invalid_args(self):
         with pytest.raises(ArgumentError):

@@ -1,13 +1,14 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voltconv import bases, quadrature
+from voltconv import bases, quadrature, series
 from voltconv.errors import ArgumentError, DomainError, NonResolutionError
-from voltconv.series import (ChopRule, PolySeries, chebyshev_points, evaluate,
+from voltconv.series import (ChopRule, PolySeries, chebyshev_points, clenshaw, evaluate,
                              fit_chebyshev, indefinite_integral_cheb,
                              series_from_csv, series_from_json, series_to_csv,
                              series_to_json, vals2coeffs)
@@ -76,6 +77,110 @@ class TestEvaluate:
         sw = PolySeries(basis, (-1, 1), u + v)
         np.testing.assert_allclose(evaluate(sw, x),
                                    evaluate(su, x) + evaluate(sv, x), atol=1e-14)
+
+
+def _allocating_clenshaw(basis, coeffs, y):
+    """The Clenshaw sum as written before it ran in place: the reference."""
+    y = np.asarray(y)
+    y = y.astype(np.result_type(y, float), copy=False)
+    c = np.asarray(coeffs).astype(y.dtype)
+    K = len(c) - 1
+    A, B, C = bases.recurrence_abc(basis, np.arange(K + 2), y.dtype.type)
+    bk1 = np.zeros_like(y)
+    bk2 = np.zeros_like(y)
+    for k in range(K, -1, -1):
+        bk1, bk2 = c[k] + (A[k] * y + B[k]) * bk1 + C[k + 1] * bk2, bk1
+    return bk1
+
+
+CLENSHAW_BASES = [bases.chebyshev(), bases.legendre(), bases.gegenbauer(2.0),
+                  bases.jacobi(2.0, 1.5), bases.jacobi(-0.5, 0.3)]
+
+
+def _clenshaw_points(layout, large, dtype):
+    """Points in [-1, 1] of one layout; ``large`` puts three ranges' worth
+    of bytes (series._MIN_RANGE_BYTES each) in them, ``not large`` one
+    range's worth at most."""
+    rng = np.random.default_rng(11)
+    rows = 3 * series._MIN_RANGE_BYTES // np.dtype(dtype).itemsize // 64 + 1 if large else 3
+    full = rng.uniform(-1, 1, (2 * rows, 2 * 64)).astype(dtype)
+    return {"0-d": full[0, 0, ...],
+            "1-d": full[:rows].reshape(-1),
+            "2-d": full[:rows, :64].copy(),
+            "view": full[::2, ::2],
+            "fortran": np.asfortranarray(full[:rows, :64])}[layout]
+
+
+class TestThreadedClenshaw:
+    """series.clenshaw runs in place on ranges of the points, on up to one
+    thread per CPU; its bits are those of the allocating form."""
+
+    @pytest.mark.parametrize("basis", CLENSHAW_BASES, ids=lambda b: b.label())
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("layout, large", [
+        (layout, large) for layout in ("0-d", "1-d", "2-d", "view", "fortran")
+        for large in ("below", "above") if (layout, large) != ("0-d", "above")])
+    def test_bits_match_the_allocating_form(self, basis, dtype, layout, large,
+                                            monkeypatch):
+        y = _clenshaw_points(layout, large == "above", dtype)
+        assert (y.nbytes >= 3 * series._MIN_RANGE_BYTES) == (large == "above")
+        c = np.random.default_rng(12).uniform(-1, 1, 8 if large == "above" else 40)
+        want = _allocating_clenshaw(basis, c, y)
+        for cpus in (1, 3):
+            monkeypatch.setattr(bases, "_cpu_count", lambda cpus=cpus: cpus)
+            got = clenshaw(basis, c, y)
+            assert got.dtype == want.dtype and got.shape == np.shape(want)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_kernel_runs_on_the_workers_above_the_floor(self, monkeypatch):
+        threads = []
+        rows = series._clenshaw_rows
+
+        def on_worker(*args):
+            threads.append(threading.get_ident())
+            return rows(*args)
+
+        monkeypatch.setattr(series, "_clenshaw_rows", on_worker)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
+        y = _clenshaw_points("2-d", True, np.float64)
+        before = threading.active_count()
+        # long enough that no worker is idle, and reused, before the last submission
+        clenshaw(bases.legendre(), np.ones(200), y)
+        assert threading.active_count() == before
+        assert len(threads) == 3 and len(set(threads)) >= 2
+        assert threading.get_ident() not in threads
+
+    def test_no_pool_below_the_floor(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started below the floor")
+
+        monkeypatch.setattr(bases, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
+        y = _clenshaw_points("2-d", False, np.longdouble)
+        assert y.nbytes < series._MIN_RANGE_BYTES
+        clenshaw(bases.jacobi(2.0, 1.5), np.ones(200), y)
+        s = fit_chebyshev(np.cos, (0.0, 3.0))
+        evaluate(s, np.linspace(0.0, 3.0, 200))
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_kernel_error_reaches_the_caller(self, cpus, monkeypatch):
+        def fail(*args):
+            raise FloatingPointError("kernel failed")
+
+        monkeypatch.setattr(series, "_clenshaw_rows", fail)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: cpus)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="kernel failed"):
+            clenshaw(bases.legendre(), [1.0, 0.5], _clenshaw_points("1-d", True, np.float64))
+        assert threading.active_count() == before
+
+    def test_workers_see_the_callers_errstate(self, monkeypatch):
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
+        y = np.full_like(_clenshaw_points("1-d", True, np.float64), np.inf)
+        with np.errstate(invalid="raise"):
+            with pytest.raises(FloatingPointError):
+                clenshaw(bases.legendre(), [1.0, 0.5], y)    # inf * 0 at k = 1
 
 
 class TestValueAtMinusOne:
