@@ -162,7 +162,8 @@ def _oracle_outputs(name, M, N):
 
 
 class TestThreadedRecurrences:
-    """The grid recurrences run on worker threads; nothing else does."""
+    """The grid recurrences and the Clenshaw kernel run on worker threads;
+    nothing public does."""
 
     @pytest.mark.parametrize("name", list(EXTENDED_BASES))
     def test_bits_do_not_depend_on_the_thread_count(self, name, monkeypatch):
