@@ -14,14 +14,15 @@ diagonal / row:
                   rescaling symmetry of the (N-M) x (N-M) inner submatrix
   region C        dense top rows including row 0, recast recursion swept
                   upward row by row over padded columns up to N+M+1 so each
-                  row's domain of dependence is complete; it starts from
-                  the dense rows M+1 and M+2, which region B extends past
-                  the band into the padded columns; only column 1's top
-                  entry comes from the endpoint boundary sum (the recast
-                  forms are singular at n = 1 for Chebyshev)
+                  row's domain of dependence is complete, two rows held at
+                  a time; it starts from the dense rows M+1 and M+2, which
+                  region B extends past the band; only column 1's top entry
+                  comes from the endpoint boundary sum (the recast forms are
+                  singular at n = 1 for Chebyshev)
 
 Regions A and C read one RecurrenceTables per basis, with no per-basis
-branch.  Entries below finfo.tiny are stored as exact zeros (see build).
+branch.  Entries below finfo.tiny are stored as exact zeros (see build),
+and region A stops each offset at its last nonzero entry.
 Every reader of the packed storage lives in this module; apply() reads the
 band through a zero-copy scipy.sparse DIA view of it (ConvMatrix._dia).
 
@@ -89,11 +90,12 @@ class ConvMatrix:
 
     @functools.cached_property
     def _dia(self):
-        """band as an (M+N+2) x (N+1) dia_array sharing its memory: band row
-        d holds the diagonal n - k = M+1-d, so offsets run M+1 .. -(M+1)."""
+        """band as an (N+1) x (N+1) dia_array of R's rows M+1..M+N+1, sharing
+        its memory: band row d holds the diagonal n - (k-M-1) = 2M+2-d, so
+        offsets run 2M+2 .. 0 and the zeros of rows k <= M are not read."""
         from scipy.sparse import dia_array
-        return dia_array((self.band, np.arange(self.M + 1, -self.M - 2, -1)),
-                         shape=self.shape)
+        return dia_array((self.band, np.arange(2 * self.M + 2, -1, -1)),
+                         shape=(self.N + 1, self.N + 1))
 
     def entry(self, k: int, n: int) -> float:
         """Scaled entry R_{k,n} (0 outside the stored structure)."""
@@ -250,7 +252,8 @@ def _size(N, name: str = "N") -> int:
 
 
 def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
-    """Stable construction of the convolution matrix for any supported basis."""
+    """Stable construction of the convolution matrix for any supported basis;
+    it allocates top and band (as returned when N >= M+2) and a few rows."""
     a, N = _kernel_and_size(a, N)
     if not math.isfinite(scale):
         raise ArgumentError(f"scale must be finite (got {scale!r})")
@@ -271,51 +274,46 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     flush = np.finfo(float).eps ** 2 * np.abs(col0).max() > _TINY
     if flush:
         _flush_subnormal(col0)
-    # rows 0..M+2 over the padded columns: rows M+1 and M+2 repeat the band's
-    # and extend it past column W for region C; only rows 0..M are returned
-    top = np.zeros((M + 3, Wp + 1))
-    flat = top.reshape(-1)
+    top = np.zeros((M + 1, N + 1))
     band = np.zeros((2 * M + 3, W + 1))  # rows >= M+1, |k-n| <= M+1, cols 0..W
     D = band[M + 1:]                     # D[d, c] = R_{c+d, c}: region A, col 0
     ends = _region_a(tables, M, W, col0, D, flush)
-    diag = flat[:(M + 1) * (Wp + 1)]     # top rows 0..M
-    for d in range(M + 1):               # offset d's entries in rows 0..M
-        diag[d * (Wp + 1)::Wp + 2] = D[d, :M + 1 - d]
-        D[d, :M + 1 - d] = 0.0
 
-    # region B: superdiagonal band by symmetry, then the dense rows M+1, M+2
-    _fill_region_b(basis, M, W, Wp, band, top[M + 1:], ends, flush)
-
-    # the recast forms are singular at n = 1 for Chebyshev, so column 1's
-    # top entry comes from the boundary sum over its nonzero rows 1..M+2
-    if N >= 1:
-        wts = bases.boundary_weights(basis, M + 2)
-        top[0, 1] = math.fsum(wts[1:] * top[1:, 1])
+    # region B: superdiagonal band by symmetry, then R's rows M+1 and M+2
+    # over the padded columns, where region C starts
+    pad = np.zeros((2, Wp + 1))
+    _fill_region_b(basis, M, W, Wp, band, pad, ends, flush)
 
     # region C: dense top rows swept upward by the recast recursion.  The
     # sweep includes row 0 (the k = 1 step; Chebyshev's A_1 = 1 halves it):
     # reconstructing row 0 from the boundary sum instead would amplify band
     # roundoff by the boundary weights, ~n^(2 lam - 1) for Gegenbauer.
-    _sweep_region_c(tables, M, N, col0, top, banded, flush)
+    _sweep_region_c(tables, M, N, col0, D, pad, top, banded, flush)
 
-    # pack rows 1..M to stride N+1 in place: row k's destination ends before
-    # row k+1's source starts, and numpy buffers a row that overlaps itself
-    for k in range(1, M + 1):
-        flat[k * (N + 1):(k + 1) * (N + 1)] = top[k, :N + 1]
-    return ConvMatrix(basis, M, N, float(scale),
-                      flat[:(M + 1) * (N + 1)].reshape(M + 1, N + 1),
+    # the recast forms are singular at n = 1 for Chebyshev, so column 1's
+    # top entry comes from the boundary sum over its nonzero rows 1..M+2
+    if N >= 1:
+        wts = bases.boundary_weights(basis, M + 2)
+        top[0, 1] = math.fsum(wts[1:] * D[:, 1])
+        if flush:
+            _flush_subnormal(top[0, 1:2])
+    for d in range(M + 1):               # region A's rows 0..M, which region
+        D[d, :M + 1 - d] = 0.0           # C read from D, are in top only
+    return ConvMatrix(basis, M, N, float(scale), top,
                       np.ascontiguousarray(band[:, :N + 1]))
 
 
 def _region_a(tables, M, W, col0, D, flush):
-    """Region A in place, D[d, c] = R_{c+d, c}; returns each offset's last
-    possibly nonzero column.
+    """Region A in place, D[d, c] = R_{c+d, c}; offset d is 0 past ends[d].
 
     Offset d's column step reads D[d, c-1] with the multiplier
     mu_c = A_{c+d} / A_c <= 1 and otherwise only offsets d+1, d+2 and
     column 0, so for d = M+1 down to 0 it is one recurrence
-    x_c = mu_c x_{c-1} + g_c, solved forward by LAPACK.  Past the last
-    nonzero g_c it decays; doubling chunks stop once an entry flushes to 0.
+    x_c = mu_c x_{c-1} + g_c, solved forward by LAPACK.  Past g's reach it
+    decays, in chunks of 32 entries and then doubling (flush off: doubling
+    from g's reach) until one ends in a zero; with flush on, ends[d] is
+    then offset d's last nonzero column, where the next offsets' reach and
+    region B's mirror stop.
     """
     from scipy.linalg.lapack import dtbtrs
     A, B, C, shat = tables.A, tables.B, tables.C, tables.shat
@@ -351,7 +349,7 @@ def _region_a(tables, M, W, col0, D, flush):
             acc[:c0s.size] += shat[1:c0s.size + 1].astype(wide) * c0s
             acc -= (a_c / Cinv[:n]) * D[d + 2, :hi - 1]    # C_{c-2} / A_c
         g[...] = acc
-        lo = 2
+        lo, step = 2, 32 if flush else hi
         while True:
             x = D[d, lo:hi + 1]
             x[0] += (Ainv[lo] / Ainv[lo + d]) * D[d, lo - 1]
@@ -363,7 +361,10 @@ def _region_a(tables, M, W, col0, D, flush):
                 _flush_subnormal(x)
             if hi == W or x[-1] == 0.0:
                 break
-            lo, hi = hi + 1, min(W, 2 * hi)
+            lo, hi, step = hi + 1, min(W, hi + step), 2 * step
+        if flush and x[-1] == 0.0:        # zero from here on, as g is
+            nonzero = np.flatnonzero(x)
+            hi = lo + nonzero[-1] if nonzero.size else lo - 1
         ends[d] = hi
     return ends[:M + 2]
 
@@ -428,26 +429,40 @@ def _ratio_factors(basis, nmax):
     return fac
 
 
-def _sweep_region_c(tables, M, N, col0, top, banded, flush):
+def _sweep_region_c(tables, M, N, col0, D, pad, top, banded, flush):
+    """Rows M..0 of top by the recast step, for r = k-1 and n = nlo..nhi
+      R_{r,n} = A_{n+1}/A_k (R_{k,n+1} - shat_n R_{k,0}) + (B_n - B_k)/A_k R_{k,n}
+                + C_{n-1}/A_k R_{k,n-1} - C_k/A_k R_{k+1,n},
+    in place on two scratch rows, in that order.  Rows k and k+1 live in
+    pad's two rows over the padded columns, first R's rows M+1 and M+2; row
+    r overwrites row k+1, takes columns 0..r from region A (R_{r,c} =
+    D[r-c, c]), is flushed and copied into top.  No step reads a row past
+    its nhi.  Column 1 of row 0 is left to the caller."""
     A, B, C, shat = tables.A, tables.B, tables.C, tables.shat
+    rowk, rowk1 = pad
+    work = np.empty_like(pad)
     for k in range(M + 1, 0, -1):
         r = k - 1
-        nlo = max(k, 2)         # column 1 of row 0 is handled separately
+        nlo = max(k, 2)
         nhi = N + r if not banded else min(N + r, r + M + 1)
         if nhi >= nlo:
             sl = slice(nlo, nhi + 1)
-            slm = slice(nlo - 1, nhi)
-            slp = slice(nlo + 1, nhi + 2)
-            rowk, rowk1 = top[k], top[k + 1]
-            rk0 = col0[k] if k <= M + 1 else 0.0
+            u, v = work[:, :nhi + 1 - nlo]
             invAk = 1.0 / A[k]
-            rhoA = invAk * A[nlo + 1:nhi + 2]
-            top[r, sl] = rhoA * (rowk[slp] - shat[sl] * rk0) \
-                + (invAk * (B[sl] - B[k])) * rowk[sl] \
-                + (invAk * C[nlo - 1:nhi]) * rowk[slm] \
-                - (invAk * C[k]) * rowk1[sl]
-        if flush:               # row 0 includes column 1's boundary sum
-            _flush_subnormal(top[r, :nhi + 1])
+            np.multiply(shat[sl], col0[k], out=u)
+            np.subtract(rowk[nlo + 1:nhi + 2], u, out=u)
+            u *= np.multiply(A[nlo + 1:nhi + 2], invAk, out=v)
+            np.subtract(B[sl], B[k], out=v)
+            v *= invAk
+            u += np.multiply(v, rowk[sl], out=v)
+            np.multiply(C[nlo - 1:nhi], invAk, out=v)
+            u += np.multiply(v, rowk[nlo - 1:nhi], out=v)
+            np.subtract(u, np.multiply(rowk1[sl], invAk * C[k], out=v), out=rowk1[sl])
+        rowk1[:r + 1] = D[r::-1].diagonal()
+        if flush:
+            _flush_subnormal(rowk1[:nhi + 1])
+        top[r, :min(N, nhi) + 1] = rowk1[:min(N, nhi) + 1]
+        rowk, rowk1 = rowk1, rowk
 
 
 def symmetry_ratio(basis: BasisSpec, n: int, k: int) -> float:
@@ -569,8 +584,9 @@ def apply(R: ConvMatrix, b) -> np.ndarray:
         raise DimensionError(f"b has {b.size} entries; at most {R.N + 1} allowed")
     x = np.zeros(R.N + 1)
     x[:b.size] = b
-    out = R._dia @ x          # the band is zero on rows 0..M
-    out[:R.M + 1] += R.top[:, :b.size] @ b
+    out = np.empty(R.M + R.N + 2)
+    out[R.M + 1:] = R._dia @ x
+    np.add(R.top[:, :b.size] @ b, 0.0, out=out[:R.M + 1])   # no -0.0 in rows 0..M
     out *= R.scale
     return out
 

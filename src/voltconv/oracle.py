@@ -21,8 +21,9 @@ np.longdouble is no wider than float64, the extended tier refuses
 The two grid recurrences, h_n at the projection nodes (_h_values) and p_n
 at the sampled points (_pn_rows), treat every grid row on its own, and
 numpy releases the GIL inside their ufunc loops.  Each call splits the rows
-over one thread per CPU the process may use, in a pool that lives for the
-call (bases._run_split); the result has the same bits for any thread count.
+over one thread per CPU the process may use, but none with less than
+bases._MIN_RANGE_BYTES of grid, in a pool that lives for the call
+(bases._run_split); the result has the same bits for any thread count.
 The kernel's values on the grid come from series.clenshaw, which splits its
 points the same way.  Every buffer the workers write is allocated by the
 caller before the split, and the workers call private functions only: the
@@ -146,7 +147,7 @@ def _h_values(f: PolySeries, y: np.ndarray, q: int, N: int, extended: bool):
     tables = bases._step_tables(f.basis, N, t.dtype.type)
     p, pm1, tmp = np.ones_like(t), np.zeros_like(t), np.empty_like(t)
     H = np.empty((N + 1, len(y)), dtype=t.dtype)
-    cuts = np.linspace(0, len(y), bases._workers(len(y)) + 1).astype(int)
+    cuts = np.linspace(0, len(y), bases._workers(t.nbytes, len(y)) + 1).astype(int)
     bases._run_split(_h_block, [(tables, G[lo:hi], t[lo:hi], p[lo:hi], pm1[lo:hi],
                                  tmp[lo:hi], H[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])])
     return H
@@ -292,7 +293,7 @@ def _pn_rows(basis: BasisSpec, t: np.ndarray, ncols: np.ndarray) -> np.ndarray:
         theta = np.arccos(t)
         return np.cos(np.asarray(ncols).astype(t.dtype)[:, None] * theta)
     nc = np.asarray(ncols)
-    groups = bases._workers(len(nc))
+    groups = bases._workers(t.nbytes, len(nc))
     by_degree = np.argsort(nc, kind="stable")
     dealt = [by_degree[g::groups] for g in range(groups)]
     order = np.concatenate(dealt)

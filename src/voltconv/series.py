@@ -20,14 +20,6 @@ from .bases import BasisSpec
 from .errors import ArgumentError, DomainError, NonResolutionError
 
 _DOMAIN_RELTOL = 1e-12
-# The least of y, in bytes, that each thread of a split Clenshaw gets: 32768
-# float64 or 16384 longdouble points.  A split costs the pool's start and
-# join (0.3-0.4 ms) once and, at every step, a handoff of the GIL at each of
-# its six ufunc calls (50-90 us a step in all, on a 2-vCPU VM).  Split into
-# two ranges of this size, float64 takes 0.84 of the inline time with 101
-# terms and 1.18 with 11, longdouble 0.66 and 0.81; with ranges half this
-# size, float64 takes 1.7-1.9 times as long.
-_MIN_RANGE_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -94,7 +86,7 @@ def clenshaw(basis: BasisSpec, coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
     recurrence table are cast to it.  The result is a new array of y's
     shape.  Every point is summed on its own, so the points are split into
     contiguous ranges, one per CPU the process may use but none smaller
-    than _MIN_RANGE_BYTES, and each range is summed on its own thread
+    than bases._MIN_RANGE_BYTES, and each range is summed on its own thread
     (bases._run_split); the bits do not depend on the thread count.  The
     tables, the result and the two scratch arrays are made here, on the
     calling thread.
@@ -105,7 +97,7 @@ def clenshaw(basis: BasisSpec, coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
     tables = bases.recurrence_abc(basis, np.arange(len(c) + 1), y.dtype.type)
     flat = y.reshape(-1)
     out, b2, tmp = np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat)
-    ranges = bases._workers(flat.nbytes // _MIN_RANGE_BYTES)
+    ranges = bases._workers(flat.nbytes, flat.size)
     cuts = np.linspace(0, flat.size, ranges + 1).astype(int)
     bases._run_split(_clenshaw_rows, [(tables, c, flat[lo:hi], out[lo:hi], b2[lo:hi],
                                        tmp[lo:hi]) for lo, hi in zip(cuts, cuts[1:])])

@@ -150,7 +150,7 @@ class TestReports:
         assert rep_s.max_abs <= 1e-13
 
 
-def _oracle_outputs(name, M, N):
+def _oracle_outputs(name, M, N, samples):
     """conv_coeff_block in both tiers and a sampled check, for one basis."""
     basis = EXTENDED_BASES[name]
     f = PolySeries(basis, (-1, 1), random_kernel(M, 3))
@@ -158,32 +158,56 @@ def _oracle_outputs(name, M, N):
     R = convmat.build(basis, g.coeffs, 200)
     return {"double": oracle.conv_coeff_block(f, N),
             "extended": oracle.conv_coeff_block(f, N, extended=True),
-            "sampled": oracle.sampled_value_errors(R, g, 30, 5).grid}
+            "sampled": oracle.sampled_value_errors(R, g, samples, 5).grid}
+
+
+# (M, N, samples) of _oracle_outputs: every grid of SMALL lies below
+# bases._MIN_RANGE_BYTES; LARGE's grids hold 2 (the double block) to 4 times
+# it (the extended block: 363 x 182 longdouble nodes; the sampled check:
+# 440 x 112)
+SMALL = ((0, 0, 30), (3, 7, 30), (10, 50, 30))
+LARGE = (10, 350, 440)
 
 
 class TestThreadedRecurrences:
-    """The grid recurrences and the Clenshaw kernel run on worker threads;
-    nothing public does."""
+    """The grid recurrences and the Clenshaw kernel run on worker threads
+    above the floor, inline below it; nothing public runs on a worker."""
 
     @pytest.mark.parametrize("name", list(EXTENDED_BASES))
     def test_bits_do_not_depend_on_the_thread_count(self, name, monkeypatch):
         # 3 workers are more than a 2-CPU machine has; a short switch
         # interval makes the threads interleave as often as they can
         interval = sys.getswitchinterval()
-        runs = {}
+        runs, parts = {}, {}
+        run_split = bases._run_split
+
+        def record(work, split):
+            parts[cpus].append(len(split))
+            run_split(work, split)
+
+        monkeypatch.setattr(bases, "_run_split", record)
         try:
             sys.setswitchinterval(1e-6)
             for cpus in (1, 3):
                 monkeypatch.setattr(bases, "_cpu_count", lambda cpus=cpus: cpus)
-                runs[cpus] = [_oracle_outputs(name, M, N)
-                              for M, N in ((0, 0), (3, 7), (10, 50))]
+                parts[cpus] = []
+                runs[cpus] = _oracle_outputs(name, *LARGE)
         finally:
             sys.setswitchinterval(interval)
-        for one, three in zip(runs[1], runs[3]):
-            for key in one:
-                assert one[key].dtype == three[key].dtype
-                assert np.array_equal(one[key], three[key]), key
-        for (M, N), out in zip(((0, 0), (3, 7), (10, 50)), runs[3]):
+        assert set(parts[1]) == {1} and min(parts[3]) >= 2 and max(parts[3]) == 3
+        for key in runs[1]:
+            assert runs[1][key].dtype == runs[3][key].dtype
+            assert np.array_equal(runs[1][key], runs[3][key]), key
+
+    @pytest.mark.parametrize("name", list(EXTENDED_BASES))
+    def test_no_pool_below_the_floor(self, name, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started below the floor")
+
+        monkeypatch.setattr(bases, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
+        for M, N, samples in SMALL:
+            out = _oracle_outputs(name, M, N, samples)
             for key in ("double", "extended"):
                 below = np.tri(M + N + 2, N + 1, -(M + 2), dtype=bool)
                 assert out[key].shape == (M + N + 2, N + 1)
@@ -221,7 +245,7 @@ class TestThreadedRecurrences:
         monkeypatch.setattr(series, "_clenshaw_rows", on_worker(clenshaw_rows, kernels))
         monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
         before = threading.active_count()
-        _oracle_outputs("jacobi_2_1.5", 10, 50)
+        _oracle_outputs("jacobi_2_1.5", *LARGE)
         # 2000 points x 102 nodes: both of its Clenshaw sums lie above the floor
         f = PolySeries(bases.legendre(), (-1, 1), random_kernel(100, 3))
         g = PolySeries(bases.legendre(), (-1, 1), random_kernel(100, 4))

@@ -99,10 +99,10 @@ CLENSHAW_BASES = [bases.chebyshev(), bases.legendre(), bases.gegenbauer(2.0),
 
 def _clenshaw_points(layout, large, dtype):
     """Points in [-1, 1] of one layout; ``large`` puts three ranges' worth
-    of bytes (series._MIN_RANGE_BYTES each) in them, ``not large`` one
+    of bytes (bases._MIN_RANGE_BYTES each) in them, ``not large`` one
     range's worth at most."""
     rng = np.random.default_rng(11)
-    rows = 3 * series._MIN_RANGE_BYTES // np.dtype(dtype).itemsize // 64 + 1 if large else 3
+    rows = 3 * bases._MIN_RANGE_BYTES // np.dtype(dtype).itemsize // 64 + 1 if large else 3
     full = rng.uniform(-1, 1, (2 * rows, 2 * 64)).astype(dtype)
     return {"0-d": full[0, 0, ...],
             "1-d": full[:rows].reshape(-1),
@@ -123,7 +123,7 @@ class TestThreadedClenshaw:
     def test_bits_match_the_allocating_form(self, basis, dtype, layout, large,
                                             monkeypatch):
         y = _clenshaw_points(layout, large == "above", dtype)
-        assert (y.nbytes >= 3 * series._MIN_RANGE_BYTES) == (large == "above")
+        assert (y.nbytes >= 3 * bases._MIN_RANGE_BYTES) == (large == "above")
         c = np.random.default_rng(12).uniform(-1, 1, 8 if large == "above" else 40)
         want = _allocating_clenshaw(basis, c, y)
         for cpus in (1, 3):
@@ -158,7 +158,7 @@ class TestThreadedClenshaw:
         monkeypatch.setattr(bases, "ThreadPoolExecutor", no_pool)
         monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
         y = _clenshaw_points("2-d", False, np.longdouble)
-        assert y.nbytes < series._MIN_RANGE_BYTES
+        assert y.nbytes < bases._MIN_RANGE_BYTES
         clenshaw(bases.jacobi(2.0, 1.5), np.ones(200), y)
         s = fit_chebyshev(np.cos, (0.0, 3.0))
         evaluate(s, np.linspace(0.0, 3.0, 200))
