@@ -310,10 +310,9 @@ def _region_a(tables, M, W, col0, D, flush):
     mu_c = A_{c+d} / A_c <= 1 and otherwise only offsets d+1, d+2 and
     column 0, so for d = M+1 down to 0 it is one recurrence
     x_c = mu_c x_{c-1} + g_c, solved forward by LAPACK.  Past g's reach it
-    decays, in chunks of 32 entries and then doubling (flush off: doubling
-    from g's reach) until one ends in a zero; with flush on, ends[d] is
-    then offset d's last nonzero column, where the next offsets' reach and
-    region B's mirror stop.
+    decays, in chunks of 32 entries and then doubling, until one ends in a
+    zero; ends[d] is then offset d's last nonzero column, where the next
+    offsets' reach and region B's mirror stop.
     """
     from scipy.linalg.lapack import dtbtrs
     A, B, C, shat = tables.A, tables.B, tables.C, tables.shat
@@ -349,7 +348,7 @@ def _region_a(tables, M, W, col0, D, flush):
             acc[:c0s.size] += shat[1:c0s.size + 1].astype(wide) * c0s
             acc -= (a_c / Cinv[:n]) * D[d + 2, :hi - 1]    # C_{c-2} / A_c
         g[...] = acc
-        lo, step = 2, 32 if flush else hi
+        lo, step = 2, 32
         while True:
             x = D[d, lo:hi + 1]
             x[0] += (Ainv[lo] / Ainv[lo + d]) * D[d, lo - 1]
@@ -362,7 +361,7 @@ def _region_a(tables, M, W, col0, D, flush):
             if hi == W or x[-1] == 0.0:
                 break
             lo, hi, step = hi + 1, min(W, hi + step), 2 * step
-        if flush and x[-1] == 0.0:        # zero from here on, as g is
+        if x[-1] == 0.0:                  # zero from here on, as g is
             nonzero = np.flatnonzero(x)
             hi = lo + nonzero[-1] if nonzero.size else lo - 1
         ends[d] = hi
