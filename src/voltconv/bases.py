@@ -114,21 +114,21 @@ def weighted_laguerre() -> BasisSpec:
     return BasisSpec(WEIGHTED_LAGUERRE)
 
 
-def raw_jacobi(alpha: float, beta: float) -> BasisSpec:
-    """Jacobi descriptor without the convolution-specific exclusions.
+def _jacobi_abc(alpha: float, beta: float, n, dtype=float):
+    """recurrence_abc's (A_n, B_n, C_n) for P_n^(alpha,beta), any alpha, beta > -1.
 
-    Quadrature rules are well defined on the whole range alpha, beta > -1,
-    including the alpha + beta = -1 line that the convolution recurrences
-    reject, so the quadrature module builds its descriptors through here.
+    The tables are finite on the alpha + beta = -1 line that BasisSpec
+    rejects, so the Gauss-Jacobi rules take them from here.
     """
-    if not (alpha > -1.0 and beta > -1.0):
-        raise BasisParameterError("Jacobi weight needs alpha, beta > -1")
-    b = object.__new__(BasisSpec)
-    object.__setattr__(b, "kind", JACOBI)
-    object.__setattr__(b, "lam", None)
-    object.__setattr__(b, "alpha", float(alpha))
-    object.__setattr__(b, "beta", float(beta))
-    return b
+    nn = np.asarray(n, dtype=dtype)
+    a, b = dtype(alpha), dtype(beta)
+    # n = 0 has its own form: the general one is 0/0 when alpha + beta = 0
+    m = np.where(nn == 0, 1, nn)
+    s = 2 * m + a + b
+    denom = 2 * (m + 1) * (m + a + b + 1) * s
+    return (np.where(nn == 0, (a + b + 2) / 2, (s + 1) * (s + 2) * s / denom),
+            np.where(nn == 0, (a - b) / 2, (s + 1) * (a * a - b * b) / denom),
+            np.where(nn == 0, 0, -2 * (m + a) * (m + b) * (s + 2) / denom))
 
 
 def recurrence_abc(basis: BasisSpec, n, dtype=float):
@@ -151,14 +151,7 @@ def recurrence_abc(basis: BasisSpec, n, dtype=float):
         return (2 * (nn + lam) / (nn + 1), zero,
                 -(nn + 2 * lam - 1) / (nn + 1))
     if basis.kind == JACOBI:
-        a, b = dtype(basis.alpha), dtype(basis.beta)
-        # n = 0 has its own form: the general one is 0/0 when alpha + beta = 0
-        m = np.where(nn == 0, one, nn)
-        s = 2 * m + a + b
-        denom = 2 * (m + 1) * (m + a + b + 1) * s
-        return (np.where(nn == 0, (a + b + 2) / 2, (s + 1) * (s + 2) * s / denom),
-                np.where(nn == 0, (a - b) / 2, (s + 1) * (a * a - b * b) / denom),
-                np.where(nn == 0, zero, -2 * (m + a) * (m + b) * (s + 2) / denom))
+        return _jacobi_abc(basis.alpha, basis.beta, n, dtype)
     if basis.kind == WEIGHTED_LAGUERRE:
         return -one / (nn + 1), (2 * nn + 1) / (nn + 1), -nn / (nn + 1)
     raise UnsupportedBasisError(basis.kind)

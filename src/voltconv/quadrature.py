@@ -1,11 +1,11 @@
-"""Gauss quadrature rules by Newton iteration on the three-term recurrence.
+"""Gauss quadrature rules from the Jacobi matrix, polished by Newton steps.
 
-Nodes start from the equioscillation-phase guesses
-theta_k = pi (2k + alpha + 3/2) / (2n + alpha + beta + 1), which interlace the
-true phase grid, and are polished by vectorized Newton steps with the iterate
-clamped inside its phase-midpoint bracket.
+Nodes start as the eigenvalues of the symmetric tridiagonal Jacobi matrix of
+the three-term recurrence (Golub & Welsch, Math. Comp. 23, 1969) and take
+three vectorized longdouble Newton steps on that recurrence; weights come
+from p_n' at the polished nodes.  Chebyshev rules are in closed form.
 
-Rules can optionally be refined in 80-bit extended precision
+Rules can optionally be kept in 80-bit extended precision
 (``extended=True``): node rounding alone injects O(eps_double * w * g') noise
 into integrals of violently oscillatory integrands, which is the dominant
 error term at the sizes the large verification runs use, and ~1e-19 nodes
@@ -14,8 +14,6 @@ push that floor three orders down.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
@@ -23,10 +21,8 @@ from typing import Tuple
 import numpy as np
 
 from . import bases
-from .bases import BasisSpec
 from .errors import ArgumentError, ConvergenceError, NarrowLongdoubleError
 
-_MAX_NEWTON = 100
 LD = np.longdouble
 PI_LD = LD("3.14159265358979323846264338327950288")
 # Where np.longdouble is plain double (MSVC, some ARM builds) the extended
@@ -57,64 +53,53 @@ class QuadRule:
         return self.x.astype(float), self.w.astype(float)
 
 
-def _newton_step(basis: BasisSpec, alpha: float, beta: float, x: np.ndarray, n: int):
+def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal (diag, off), in float64."""
+    from scipy.linalg import eigvalsh_tridiagonal
+    return eigvalsh_tridiagonal(diag.astype(float), off.astype(float))
+
+
+def _polish(step, x: np.ndarray, failure: str) -> np.ndarray:
+    """Three Newton steps x -= step(x); a non-finite step raises at once."""
+    for _ in range(3):
+        # quietly: a node on +-1 divides by 1 - x*x = 0
+        with np.errstate(all="ignore"):
+            dx = step(x)
+        if not np.isfinite(dx).all():
+            raise ConvergenceError(failure)
+        x = x - dx
+    return x
+
+
+def _newton_step(tables, alpha: float, beta: float, x: np.ndarray, n: int):
     """(p_n / p_n', p_n') at x, in x's dtype, from one forward recurrence."""
-    pnm1, pn = deque(bases.forward(basis, x, n), maxlen=2)
+    p, pm1, tmp = np.ones_like(x), np.zeros_like(x), np.empty_like(x)
+    for k in range(n):
+        p, pm1 = bases._recurrence_step(tables, k, x, p, pm1, pm1, tmp), p
     dt = x.dtype.type
     a, b = dt(alpha), dt(beta)
     s = 2 * dt(n) + a + b
-    dp = (dt(n) * ((a - b) - s * x) * pn
-          + 2 * (dt(n) + a) * (dt(n) + b) * pnm1) / (s * (1 - x * x))
-    return pn / dp, dp
+    dp = (dt(n) * ((a - b) - s * x) * p
+          + 2 * (dt(n) + a) * (dt(n) + b) * pm1) / (s * (1 - x * x))
+    return p / dp, dp
 
 
-def _newton_nodes(basis: BasisSpec, n: int, alpha: float, beta: float) -> np.ndarray:
-    k = np.arange(n)
-    theta = np.pi * (2.0 * k + alpha + 1.5) / (2.0 * n + alpha + beta + 1.0)
-    x = np.cos(theta)
-    edges = np.empty(n + 1)
-    edges[1:-1] = 0.5 * (x[1:] + x[:-1])
-    edges[0], edges[-1] = 1.0, -1.0
-    hi, lo = edges[:-1], edges[1:]
-    for _ in range(_MAX_NEWTON):
-        # a node clamped onto +-1 divides by 1 - x*x = 0: refuse, quietly,
-        # rather than carry the inf or NaN on (or return a NaN weight)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dx, dp = _newton_step(basis, alpha, beta, x, n)
-        if not (np.isfinite(dx).all() and np.isfinite(dp).all()):
-            raise ConvergenceError(f"Gauss-Jacobi Newton step is not finite for "
-                                   f"alpha={alpha}, beta={beta}, n={n}")
-        x = np.clip(x - dx, lo, hi)
-        if np.max(np.abs(dx)) < 1e-14:
-            break
-    else:
-        raise ConvergenceError(f"Gauss nodes failed to converge for n={n}")
-    for _ in range(2):
-        x = x - _newton_step(basis, alpha, beta, x, n)[0]
-    return x[::-1].copy()  # ascending
-
-
-def _norm_const(alpha: float, beta: float, n: int, dt=np.float64):
-    """2^(a+b+1) Gamma(n+a+1) Gamma(n+b+1) / (n! Gamma(n+a+b+1)).
+def _norm_const(alpha: float, beta: float, n: int):
+    """2^(a+b+1) Gamma(n+a+1) Gamma(n+b+1) / (n! Gamma(n+a+b+1)), in longdouble.
 
     Written as total_mass * (a+b+n+1) * prod of O(1) factors so that it stays
     accurate at large n (lgamma differences of O(n log n) magnitudes would
     cost ~n*eps relative accuracy) and finite on the a+b = -1 line.
     """
-    if dt is LD:
-        import mpmath as mp
-        with mp.workdps(30):
-            mass = dt(str(mp.mpf(2) ** (mp.mpf(alpha) + mp.mpf(beta) + 1)
-                          * mp.gamma(mp.mpf(alpha) + 1) * mp.gamma(mp.mpf(beta) + 1)
-                          / mp.gamma(mp.mpf(alpha) + mp.mpf(beta) + 2)))
-    else:
-        mass = dt(math.exp((alpha + beta + 1.0) * math.log(2.0)
-                           + math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0)
-                           - math.lgamma(alpha + beta + 2.0)))
-    j = np.arange(n, dtype=dt)
-    a, b = dt(alpha), dt(beta)
+    import mpmath as mp
+    with mp.workdps(30):
+        mass = LD(str(mp.mpf(2) ** (mp.mpf(alpha) + mp.mpf(beta) + 1)
+                      * mp.gamma(mp.mpf(alpha) + 1) * mp.gamma(mp.mpf(beta) + 1)
+                      / mp.gamma(mp.mpf(alpha) + mp.mpf(beta) + 2)))
+    j = np.arange(n, dtype=LD)
+    a, b = LD(alpha), LD(beta)
     ratio = np.prod((a + 1 + j) * (b + 1 + j) / ((j + 1) * (a + b + 2 + j)))
-    return mass * (a + b + dt(n) + 1) * ratio
+    return mass * (a + b + LD(n) + 1) * ratio
 
 
 def _gauss_chebyshev(n: int, extended: bool) -> QuadRule:
@@ -142,33 +127,17 @@ def gauss_jacobi(alpha: float, beta: float, n: int,
         require_extended()
     if alpha == beta == -0.5:
         return _gauss_chebyshev(n, extended)
-    if alpha == beta == 0.0:
-        basis = bases.legendre()
-    else:
-        basis = bases.raw_jacobi(alpha, beta)
-    if n == 1:
-        dt = LD if extended else np.float64
-        x0 = (dt(beta) - dt(alpha)) / (dt(alpha) + dt(beta) + 2)
-        w0 = dt(math.exp((alpha + beta + 1.0) * math.log(2.0)
-                         + math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0)
-                         - math.lgamma(alpha + beta + 2.0)))
-        return QuadRule(np.array([x0], dtype=dt), np.array([w0], dtype=dt))
-    x = _newton_nodes(basis, n, alpha, beta)
+    tables = bases._jacobi_abc(alpha, beta, np.arange(n), LD)
+    A, B, C = tables
+    x = _tridiagonal_eigenvalues(-B / A, np.sqrt(-C[1:] / (A[:-1] * A[1:])))
+    x = _polish(lambda z: _newton_step(tables, alpha, beta, z, n)[0], x.astype(LD),
+                f"Gauss-Jacobi Newton step is not finite for "
+                f"alpha={alpha}, beta={beta}, n={n}")
+    _, dp = _newton_step(tables, alpha, beta, x, n)
+    w = _norm_const(alpha, beta, n) / ((1 - x * x) * dp * dp)
     if extended:
-        x = x.astype(LD)
-        for _ in range(3):
-            x = x - _newton_step(basis, alpha, beta, x, n)[0]
-        xe = x
-    else:
-        # weights from an extended-precision derivative pass: the plain
-        # recurrence loses ~n*eps of relative weight accuracy at large n
-        xe = x.astype(LD)
-    _, dp = _newton_step(basis, alpha, beta, xe, n)
-    cn = _norm_const(alpha, beta, n, LD)
-    w = cn / ((1 - xe * xe) * dp * dp)
-    if not extended:
-        w = w.astype(float)
-    return QuadRule(x, w)
+        return QuadRule(x, w)
+    return QuadRule(x.astype(float), w.astype(float))
 
 
 def gauss_legendre(n: int, extended: bool = False) -> QuadRule:
@@ -199,10 +168,7 @@ def gauss_laguerre(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     def pair(z, upto):
         # renormalized plain recurrence: (L_upto, L_{upto-1}) * 2^(-e2);
         # Newton steps only use the ratio, weights re-attach the exponent
-        one = z * 0 + 1
-        lm1 = one.copy() if hasattr(one, "copy") else 1.0
-        l = 1 - z
-        e2 = 0.0 * one
+        lm1, l, e2 = np.ones_like(z), 1 - z, np.zeros_like(z)
         for k in range(1, upto):
             l, lm1 = ((2 * k + 1 - z) * l - k * lm1) / (k + 1), l
             if k % 64 == 0:
@@ -214,33 +180,13 @@ def gauss_laguerre(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
                 e2 = e2 - np.log2(scale)
         return l, lm1, e2
 
-    x = np.empty(n)
-    for i in range(n):
-        if i == 0:
-            z = 3.0 / (1.0 + 2.4 * n)
-        elif i == 1:
-            z = x[0] + 15.0 / (1.0 + 2.5 * n)
-        else:
-            ai = i - 1
-            z = x[i - 1] + ((1.0 + 2.55 * ai) / (1.9 * ai)) * (x[i - 1] - x[i - 2])
-        zv = np.array([z])
-        for _ in range(_MAX_NEWTON):
-            l, lm1, _ = pair(zv, n)
-            dz = float((l * zv / (n * (l - lm1)))[0])
-            zv = zv - dz
-            # the extended-precision polish below finishes the job; the
-            # double recurrence noise floor grows with n at the far nodes
-            if abs(dz) < 1e-12 * max(1.0, float(zv[0])):
-                break
-        else:
-            raise ConvergenceError(f"Gauss-Laguerre failed to converge for n={n}")
-        x[i] = zv[0]
-    # polish nodes and form weights in extended precision; the forward
-    # recurrence sheds ~n*eps of relative accuracy in double
-    xe = x.astype(LD)
-    for _ in range(2):
-        l, lm1, _ = pair(xe, n)
-        xe = xe - l * xe / (n * (l - lm1))
+    def step(z):
+        l, lm1, _ = pair(z, n)
+        return l * z / (n * (l - lm1))
+
+    k = np.arange(n, dtype=float)
+    xe = _polish(step, _tridiagonal_eigenvalues(2 * k + 1, k[1:]).astype(LD),
+                 f"Gauss-Laguerre Newton step is not finite for n={n}")
     l, _, e2 = pair(xe, n + 1)
     # w_exp = x / ((n+1) e^{-x/2} L_{n+1})^2, assembled in the log domain
     ln_wexp = (np.log(xe) - 2.0 * (np.log(np.abs(l)) + e2 * np.log(LD(2.0))

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from voltconv import quadrature
+from voltconv import bases, quadrature
 from voltconv.errors import ArgumentError, ConvergenceError
 
 
@@ -23,8 +23,10 @@ class TestGaussJacobi:
         r = quadrature.gauss_legendre(5)
         assert np.dot(r.w, r.x**8) == pytest.approx(2 / 9, abs=1e-15)
 
-    @pytest.mark.parametrize("ab", [(0.0, 0.0), (-0.5, -0.5), (1.5, 1.5), (2.0, 1.5)])
-    @pytest.mark.parametrize("n", [1, 2, 5, 20, 64])
+    # at alpha = -0.99 the node nearest +1 carries most of the mass
+    @pytest.mark.parametrize("ab", [(0.0, 0.0), (-0.5, -0.5), (1.5, 1.5), (2.0, 1.5),
+                                    (-0.99, 5.0), (-0.99, -0.95)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 64])
     def test_weight_sums(self, ab, n):
         a, b = ab
         r = quadrature.gauss_jacobi(a, b, n)
@@ -52,25 +54,22 @@ class TestGaussJacobi:
         s = float(np.sum(r.w.astype(np.longdouble)))
         assert s == pytest.approx(weight_mass(1.5, 1.5), rel=1e-16)
 
-    # (-0.99, 5, 5) clamps a node onto -1, where the Newton step is 0/0;
-    # (-0.99, -0.95, 3) clamps one onto +1, which used to give a NaN weight
     @pytest.mark.parametrize("abn", [(-0.99, 5.0, 5), (-0.99, -0.95, 3)])
     @pytest.mark.parametrize("extended", [False, True])
     def test_nonfinite_newton_step_fails_fast_and_quietly(self, abn, extended, monkeypatch):
         steps = []
-        step = quadrature._newton_step
 
-        def counted(*args):
-            steps.append(args)
-            return step(*args)
+        def nan_step(tables, alpha, beta, x, n):
+            steps.append(n)
+            return np.full_like(x, np.nan), np.full_like(x, np.nan)
 
-        monkeypatch.setattr(quadrature, "_newton_step", counted)
+        monkeypatch.setattr(quadrature, "_newton_step", nan_step)
         a, b, n = abn
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError, match=f"alpha={a}, beta={b}, n={n}"):
                 quadrature.gauss_jacobi(a, b, n, extended=extended)
-        assert len(steps) <= 3
+        assert 1 <= len(steps) <= 3
 
     def test_invalid_args(self):
         with pytest.raises(ArgumentError):
@@ -92,6 +91,71 @@ class TestGaussLaguerre:
         assert np.dot(w, x**2) == pytest.approx(2.0, abs=1e-12)
         assert np.all(np.isfinite(wexp)) and np.all(wexp > 0)
 
+    def test_matches_numpy(self):
+        x, w, _ = quadrature.gauss_laguerre(64)
+        xr, wr = np.polynomial.laguerre.laggauss(64)
+        np.testing.assert_allclose(x, xr, rtol=1e-13)
+        big = wr > 1e-200
+        np.testing.assert_allclose(w[big], wr[big], rtol=1e-11)
+
+    def test_thousand_points(self):
+        x, w, _ = quadrature.gauss_laguerre(1000)
+        assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
+        assert np.dot(w, x) == pytest.approx(1.0, abs=1e-12)
+
     def test_wexp_consistency(self):
         x, w, wexp = quadrature.gauss_laguerre(24)
         np.testing.assert_allclose(wexp * np.exp(-x), w, rtol=1e-13)
+
+
+def exactness(a, b, x, w):
+    """max over j = 1..2n-1, j != n, of |sum w p_j(x)| / sum w |p_j(x)|, in x's dtype.
+
+    Every p_j with j >= 1 integrates to 0 against the weight; p_n is skipped
+    because it vanishes at the nodes.
+    """
+    n = len(x)
+    A, B, C = bases._jacobi_abc(a, b, np.arange(2 * n - 1), x.dtype.type)
+    p, pm1, worst = np.ones_like(x), np.zeros_like(x), 0.0
+    for j in range(2 * n - 1):
+        p, pm1 = (A[j] * x + B[j]) * p + C[j] * pm1, p
+        if j + 1 != n:
+            worst = max(worst, float(abs(w @ p) / (w @ np.abs(p))))
+    return worst
+
+
+def check_rule(a, b, n):
+    """Both tiers: ascending nodes inside (-1, 1), positive weights summing to
+    the weight's mass; the extended rule: exactness through degree 2n - 1.
+
+    Double-tier nodes carry a rounding of ~eps, which moves sum w p_j by up
+    to ~j^2 eps of its scale, so exactness is measured on the extended tier.
+    The mass bound is 2e-12: at alpha = -0.99, n = 552 the node nearest +1
+    sits 6.6e-8 from it and holds up to 89% of the mass, and its weight
+    comes from p_{n-1} there, which the longdouble recurrence gets to ~1e-12
+    (sum w reads 1.3e-12 off at beta = 0; 1.1e-13 at n = 157).
+    """
+    for extended in (False, True):
+        r = quadrature.gauss_jacobi(a, b, n, extended=extended)
+        assert np.all(np.diff(r.x) > 0) and r.x[0] > -1 and r.x[-1] < 1
+        assert np.all(r.w > 0)
+        assert float(np.sum(r.w)) == pytest.approx(weight_mass(a, b), rel=2e-12)
+    assert exactness(a, b, r.x, r.w) <= 1e-12
+
+
+GRID_ALPHA = [-0.99, -0.9, -0.5, 0.0, 0.3, 1.5, 2.0, 5.0, 10.0]
+GRID_BETA = [-0.95, -0.5, 0.0, 0.7, 2.0, 5.0, 10.0]
+
+
+@pytest.mark.parametrize("a", GRID_ALPHA)
+def test_jacobi_rules_over_the_parameter_grid(a):
+    for b in GRID_BETA:
+        for n in [1, 2, 3, 5, 20, 157] + ([552] if a == -0.99 else []):
+            check_rule(a, b, n)
+
+
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_jacobi_rule_on_the_alpha_plus_beta_minus_one_line(n):
+    # BasisSpec rejects this line for the convolution recurrences; the
+    # quadrature weight is regular there
+    check_rule(-0.3, -0.7, n)
