@@ -8,6 +8,20 @@ C_n^(lam), Jacobi P_n^(alpha,beta)) satisfies a three-term recurrence
 which drives Clenshaw evaluation, Vandermonde assembly and quadrature.  The
 half-line basis is the weighted Laguerre function w(x) L_n(x).
 
+The loops run it rescaled so that x's multiplier is exactly 2.  With
+s_0 = 1, s_{k+1} = s_k A_k / 2, b_k = 2 B_k / A_k and
+c_k = 4 C_k / (A_k A_{k-1}) (c_0 = 0), the values q_k = p_k / s_k satisfy
+
+    q_{k+1} = (x2 + b_k) q_k + c_k q_{k-1},   x2 = x + x (exact),
+
+and each caller multiplies by s_k once per value it keeps.  A step stores
+three arrays per point, four where B is nonzero (Jacobi with
+alpha != +-beta); the unscaled form stores four and five.  Every Chebyshev
+scale is a power of two, so its bits are those of the unscaled form.
+Weighted Laguerre stays unscaled, since its s_k = 1/(2^k k!) underflows
+near k = 150 in float64: its table carries the multiplier A_k / 2 for the
+same doubled grid, which gives the unscaled bits at five stores a step.
+
 The recurrences treat every point on its own, and numpy releases the GIL
 inside their ufunc loops, so the Clenshaw sum and the oracle's grid
 recurrences split their points over one thread per CPU, above a floor.
@@ -36,10 +50,12 @@ _KINDS = (CHEBYSHEV, LEGENDRE, GEGENBAUER, JACOBI, WEIGHTED_LAGUERRE)
 # The least grid, in bytes, that each thread of a split recurrence gets:
 # 32768 float64 or 16384 longdouble points.  A split costs the pool's start
 # and join (0.3-0.4 ms) once and, at every step, a handoff of the GIL at
-# each ufunc call (50-90 us a step in all for Clenshaw's six, on a 2-vCPU
-# VM).  Split into two ranges of this size, a float64 Clenshaw takes 0.84 of
-# the inline time with 101 terms and 1.18 with 11, longdouble 0.66 and
-# 0.81; with ranges half this size, float64 takes 1.7-1.9 times as long.
+# each ufunc call: four a term for a Legendre Clenshaw.  Split into two
+# ranges of this size on a 2-vCPU VM, that Clenshaw took 0.71 of the inline
+# time in longdouble with 101 terms and 0.92 with 11, and in float64 1.02
+# and 1.72 (medians of 41 interleaved runs); with ranges half this size,
+# longdouble took 0.69 and 1.15, float64 1.38 and 1.98.  The oracle's sums
+# are longdouble, where this floor pays.
 _MIN_RANGE_BYTES = 1 << 18
 
 # Degenerate-parameter guard: Jacobi's alpha + beta = -1 (the integration
@@ -157,28 +173,72 @@ def recurrence_abc(basis: BasisSpec, n, dtype=float):
     raise UnsupportedBasisError(basis.kind)
 
 
-def _recurrence_step(tables, k: int, x: np.ndarray, p: np.ndarray,
-                     pm1: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """out = (A_k x + B_k) p + C_k pm1 = p_{k+1}(x), without allocating.
-
-    ``tables`` comes from _step_tables.  ``out`` may be ``pm1`` (an in-place
-    update); ``tmp`` is scratch of x's shape.  This is the one place the
-    forward recurrence is written, so every caller gets the same bits as
-    poly_vandermonde.  Returns ``out``.
-    """
-    A, B, C = tables
-    np.multiply(x, A[k], out=tmp)
-    if B is not None:
-        np.add(tmp, B[k], out=tmp)
-    np.multiply(tmp, p, out=tmp)
-    np.multiply(pm1, C[k], out=out)
-    return np.add(tmp, out, out=out)
+def _scaled_tables(A, B, C):
+    """(s, None, b, c) of the rescaled recurrence, from the raw (A, B, C) of
+    degrees 0..n-1: s has the n+1 scales s_0..s_n, and b is None where B is
+    all zero."""
+    half = A / 2
+    s = np.concatenate([np.ones(1, A.dtype), np.cumprod(half)])
+    c = np.zeros_like(C)
+    c[1:] = C[1:] / (half[1:] * half[:-1])
+    return s, None, (B / half if B.any() else None), c
 
 
 def _step_tables(basis: BasisSpec, n: int, dtype):
-    """(A, B, C) for degrees 0..n-1, with B = None where it is all zero."""
+    """(s, a, b, c) for degrees 0..n-1, read by _recurrence_step.
+
+    Finite-interval bases get _scaled_tables, whose a is None.  Weighted
+    Laguerre stays unscaled: s is all ones, a = A / 2 and (b, c) = (B, C).
+    """
     A, B, C = recurrence_abc(basis, np.arange(n), dtype)
-    return A, (B if B.any() else None), C
+    if basis.finite_interval:
+        return _scaled_tables(A, B, C)
+    return np.ones(n + 1, A.dtype), A / 2, B, C
+
+
+def _scaled_product(tables, k: int, x2: np.ndarray, q: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """out = (a_k x2 + b_k) q, with the absent a and b skipped; returns out."""
+    _, a, b, _ = tables
+    xk = x2
+    if a is not None:
+        xk = np.multiply(x2, a[k], out=out)
+    if b is not None:
+        xk = np.add(xk, b[k], out=out)
+    return np.multiply(xk, q, out=out)
+
+
+def _recurrence_step(tables, k: int, x2: np.ndarray, q: np.ndarray,
+                     qm1: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """out = (x2 + b_k) q + c_k qm1 = q_{k+1}(x), without allocating.
+
+    ``tables`` comes from _step_tables and x2 = x + x; p_{k+1} is
+    s_{k+1} q_{k+1}.  ``out`` may be ``qm1`` (an in-place update); ``tmp``
+    is scratch of x2's shape.  The step stores (x2 + b_k) q into tmp in one
+    array pass, or two with b, then qm1 c_k and the sum into out: three
+    stores, four with b, five for weighted Laguerre.  This is the one place
+    the forward recurrence is written, so every caller gets the same bits as
+    poly_vandermonde.  Returns ``out``.
+    """
+    _scaled_product(tables, k, x2, q, tmp)
+    np.multiply(qm1, tables[3][k], out=out)
+    return np.add(tmp, out, out=out)
+
+
+def _float_array(x) -> np.ndarray:
+    """x as an array of its own float dtype, float64 for any other input."""
+    x = np.asarray(x)
+    return x.astype(np.result_type(x, float), copy=False)
+
+
+def _scaled_values(tables, x2: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """Yield q_0, ..., q_n on the doubled grid x2 in two rotating buffers:
+    each yielded array is overwritten two steps later."""
+    q, qm1, tmp = np.ones_like(x2), np.zeros_like(x2), np.empty_like(x2)
+    yield q
+    for k in range(n):
+        q, qm1 = _recurrence_step(tables, k, x2, q, qm1, qm1, tmp), q
+        yield q
 
 
 def forward(basis: BasisSpec, x: np.ndarray, n: int) -> Iterator[np.ndarray]:
@@ -187,22 +247,19 @@ def forward(basis: BasisSpec, x: np.ndarray, n: int) -> Iterator[np.ndarray]:
     Float64 or longdouble (other inputs are promoted to float64); no
     Laguerre weight.  Each yielded array is new, so callers may keep it.
     """
-    x = np.asarray(x)
-    x = x.astype(np.result_type(x, float), copy=False)
+    x = _float_array(x)
     tables = _step_tables(basis, n, x.dtype.type)
-    p, pm1, tmp = np.ones_like(x), np.zeros_like(x), np.empty_like(x)
-    yield p
-    for k in range(n):
-        p, pm1 = _recurrence_step(tables, k, x, p, pm1, np.empty_like(x), tmp), p
-        yield p
+    for k, q in enumerate(_scaled_values(tables, x + x, n)):
+        yield np.multiply(q, tables[0][k], out=np.empty_like(q))
 
 
 def poly_vandermonde(basis: BasisSpec, x: np.ndarray, degree: int) -> np.ndarray:
     """Matrix V with V[..., k] = p_k(x), k = 0..degree, in x's dtype."""
-    x = np.asarray(x)
-    V = np.empty(x.shape + (degree + 1,), dtype=np.result_type(x, float))
-    for k, p in enumerate(forward(basis, x, degree)):
-        V[..., k] = p
+    x = _float_array(x)
+    V = np.empty(x.shape + (degree + 1,), dtype=x.dtype)
+    tables = _step_tables(basis, degree, x.dtype.type)
+    for k, q in enumerate(_scaled_values(tables, x + x, degree)):
+        np.multiply(q, tables[0][k], out=V[..., k])
     return V
 
 

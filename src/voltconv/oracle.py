@@ -88,12 +88,16 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
     al, be = bases.weight_parameters(f.basis)
     proj = quadrature.cached_gauss_jacobi(al, be, J, extended=extended)
     y, W = proj.x, proj.w
+    # sqrt(W) goes into both factors.  With all of W on the H side,
+    # _split_matmul cut W H's slices relative to the heavy nodes and lost
+    # the light ones, where p_k is large (Jacobi(0, 10) near y = -1).
+    root_w = np.sqrt(W)[:, None]
     WH = _h_values(f, y, q, N, extended).T     # (J, N+1)
-    WH *= W[:, None]
-
+    WH *= root_w
     V = bases.poly_vandermonde(f.basis, y, K)
+    V *= root_w
     num = _split_matmul(V.T, WH) if extended else V.T @ WH   # (K+1, N+1)
-    norms = (W[:, None] * V * V).sum(axis=0)
+    norms = np.einsum("jk,jk->k", V, V)
     out = (num / norms[:, None]).astype(float, copy=False)   # (M+N+2, N+1)
     out[np.tri(K + 1, N + 1, -(M + 2), dtype=bool)] = 0.0     # rows k > M+n+1
     return out
@@ -144,6 +148,7 @@ def _h_values(f: PolySeries, y: np.ndarray, q: int, N: int, extended: bool):
     (bases._run_split).
     """
     t, G = _kernel_on_grid(f, y, q, extended)
+    t += t                    # the doubled grid that the scaled recurrence reads
     tables = bases._step_tables(f.basis, N, t.dtype.type)
     p, pm1, tmp = np.ones_like(t), np.zeros_like(t), np.empty_like(t)
     H = np.empty((N + 1, len(y)), dtype=t.dtype)
@@ -153,12 +158,14 @@ def _h_values(f: PolySeries, y: np.ndarray, q: int, N: int, extended: bool):
     return H
 
 
-def _h_block(tables, G, t, p, pm1, tmp, H):
-    """H[n, j] = sum_i G[j, i] p_n(t[j, i]) for n = 0..N, in the given buffers."""
-    np.einsum("ji,ji->j", G, p, out=H[0])
+def _h_block(tables, G, t2, q, qm1, tmp, H):
+    """H[n, j] = sum_i G[j, i] p_n(t[j, i]) for n = 0..N, in the given buffers;
+    t2 = t + t.  Each row sums the scaled q_n and is then scaled by s_n."""
+    np.einsum("ji,ji->j", G, q, out=H[0])
     for n in range(len(H) - 1):
-        p, pm1 = bases._recurrence_step(tables, n, t, p, pm1, pm1, tmp), p
-        np.einsum("ji,ji->j", G, p, out=H[n + 1])
+        q, qm1 = bases._recurrence_step(tables, n, t2, q, qm1, qm1, tmp), q
+        np.einsum("ji,ji->j", G, q, out=H[n + 1])
+    H *= tables[0][:, None]
 
 
 def _kernel_on_grid(f: PolySeries, y: np.ndarray, q: int, extended: bool):
@@ -300,31 +307,34 @@ def _pn_rows(basis: BasisSpec, t: np.ndarray, ncols: np.ndarray) -> np.ndarray:
     cuts = np.cumsum([0] + [len(d) for d in dealt])
     nn = nc[order]
     x = t[order]
+    x += x                    # the doubled grid that the scaled recurrence reads
     top = int(nn.max(initial=0))
     tables = bases._step_tables(basis, top, t.dtype.type)
-    p, pm1, tmp = np.ones_like(x), np.zeros_like(x), np.empty_like(x)
+    q, qm1, tmp = np.ones_like(x), np.zeros_like(x), np.empty_like(x)
     out = np.empty_like(t)
     parts = []
     for lo, hi in zip(cuts, cuts[1:]):
         ends = np.searchsorted(nn[lo:hi], np.arange(nn[lo:hi].max(initial=0) + 1),
                                side="right")
-        parts.append((tables, x[lo:hi], p[lo:hi], pm1[lo:hi], tmp[lo:hi], out,
+        parts.append((tables, x[lo:hi], q[lo:hi], qm1[lo:hi], tmp[lo:hi], out,
                       order[lo:hi], ends))
     bases._run_split(_pn_group, parts)
     return out
 
 
-def _pn_group(tables, x, p, pm1, tmp, out, order, ends):
-    """out[order[i]] = p_n(x[i]) for one group of rows sorted by degree n;
-    ends[k] is one past the group's last row of degree <= k."""
+def _pn_group(tables, x2, q, qm1, tmp, out, order, ends):
+    """out[order[i]] = p_n(x[i]) for one group of rows sorted by degree n, from
+    x2 = x + x; ends[k] is one past the group's last row of degree <= k."""
     done = 0
     for k, end in enumerate(ends):
-        out[order[done:end]] = p[done:end]    # the rows whose degree is k
+        rows = q[done:end]                    # the rows whose degree is k
+        rows *= tables[0][k]
+        out[order[done:end]] = rows
         done = end
         if k < len(ends) - 1:
-            bases._recurrence_step(tables, k, x[done:], p[done:], pm1[done:],
-                                   pm1[done:], tmp[done:])
-            p, pm1 = pm1, p
+            bases._recurrence_step(tables, k, x2[done:], q[done:], qm1[done:],
+                                   qm1[done:], tmp[done:])
+            q, qm1 = qm1, q
 
 
 def report_to_csv(report: ErrorReport) -> str:

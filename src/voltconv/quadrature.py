@@ -72,10 +72,13 @@ def _polish(step, x: np.ndarray, failure: str) -> np.ndarray:
 
 
 def _newton_step(tables, alpha: float, beta: float, x: np.ndarray, n: int):
-    """(p_n / p_n', p_n') at x, in x's dtype, from one forward recurrence."""
-    p, pm1, tmp = np.ones_like(x), np.zeros_like(x), np.empty_like(x)
+    """(p_n / p_n', p_n') at x, in x's dtype, from one forward recurrence on
+    the scaled tables, unscaled once at the end."""
+    x2 = x + x
+    q, qm1, tmp = np.ones_like(x), np.zeros_like(x), np.empty_like(x)
     for k in range(n):
-        p, pm1 = bases._recurrence_step(tables, k, x, p, pm1, pm1, tmp), p
+        q, qm1 = bases._recurrence_step(tables, k, x2, q, qm1, qm1, tmp), q
+    p, pm1 = tables[0][n] * q, tables[0][n - 1] * qm1
     dt = x.dtype.type
     a, b = dt(alpha), dt(beta)
     s = 2 * dt(n) + a + b
@@ -127,8 +130,8 @@ def gauss_jacobi(alpha: float, beta: float, n: int,
         require_extended()
     if alpha == beta == -0.5:
         return _gauss_chebyshev(n, extended)
-    tables = bases._jacobi_abc(alpha, beta, np.arange(n), LD)
-    A, B, C = tables
+    A, B, C = bases._jacobi_abc(alpha, beta, np.arange(n), LD)
+    tables = bases._scaled_tables(A, B, C)
     x = _tridiagonal_eigenvalues(-B / A, np.sqrt(-C[1:] / (A[:-1] * A[1:])))
     x = _polish(lambda z: _newton_step(tables, alpha, beta, z, n)[0], x.astype(LD),
                 f"Gauss-Jacobi Newton step is not finite for "

@@ -83,41 +83,53 @@ def clenshaw(basis: BasisSpec, coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Backward-recurrence summation of sum_k c_k p_k(y) for any basis.
 
     Runs in y's dtype (float64 or longdouble): the coefficients and the
-    recurrence table are cast to it.  The result is a new array of y's
-    shape.  Every point is summed on its own, so the points are split into
-    contiguous ranges, one per CPU the process may use but none smaller
-    than bases._MIN_RANGE_BYTES, and each range is summed on its own thread
+    recurrence tables are cast to it.  The sum runs on the scaled tables of
+    bases._step_tables and the doubled points y2 = y + y:
+
+        bhat_k = (y2 + b_k) bhat_{k+1} + s_k c_k + C_{k+1} s_k / s_{k+2} bhat_{k+2},
+
+    where bhat_k = s_k beta_k for the unscaled Clenshaw's beta_k.  The sum is
+    bhat_0, since s_0 = 1.  A term stores four arrays per point, five where
+    b is present (the unscaled form stores six); weighted Laguerre keeps its
+    unscaled six.  The result is a new array of y's shape.  Every point is
+    summed on its own, so the points are split into contiguous ranges, one
+    per CPU the process may use but none smaller than
+    bases._MIN_RANGE_BYTES, and each range is summed on its own thread
     (bases._run_split); the bits do not depend on the thread count.  The
-    tables, the result and the two scratch arrays are made here, on the
+    tables, y2, the result and the two scratch arrays are made here, on the
     calling thread.
     """
-    y = np.asarray(y)
-    y = y.astype(np.result_type(y, float), copy=False)
+    y = bases._float_array(y)
     c = np.asarray(coeffs).astype(y.dtype)
-    tables = bases.recurrence_abc(basis, np.arange(len(c) + 1), y.dtype.type)
+    K = len(c) - 1
+    tables = bases._step_tables(basis, K + 2, y.dtype.type)
+    s = tables[0]
+    C = bases.recurrence_abc(basis, np.arange(1, K + 2), y.dtype.type)[2]
+    terms = (c * s[:K + 1], C * s[:K + 1] / s[2:])
     flat = y.reshape(-1)
+    y2 = flat + flat
     out, b2, tmp = np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat)
     ranges = bases._workers(flat.nbytes, flat.size)
     cuts = np.linspace(0, flat.size, ranges + 1).astype(int)
-    bases._run_split(_clenshaw_rows, [(tables, c, flat[lo:hi], out[lo:hi], b2[lo:hi],
+    bases._run_split(_clenshaw_rows, [(tables, terms, y2[lo:hi], out[lo:hi], b2[lo:hi],
                                        tmp[lo:hi]) for lo, hi in zip(cuts, cuts[1:])])
     return out.reshape(y.shape)
 
 
-def _clenshaw_rows(tables, c, y, out, b2, tmp):
+def _clenshaw_rows(tables, terms, y2, out, b2, tmp):
     """out = sum_k c_k p_k(y) in the given buffers; out and b2 start at zero.
 
-    Each step forms c_k + (A_k y + B_k) b1 + C_{k+1} b2 in the order of the
-    expression as written, so the bits match a Clenshaw that allocates.
+    ``terms`` is (s_k c_k, C_{k+1} s_k / s_{k+2}) for k = 0..K.  Each step
+    forms (y2 + b_k) bhat_{k+1} + s_k c_k + C_{k+1} s_k / s_{k+2} bhat_{k+2}
+    in the order of the expression as written, so the bits match a Clenshaw
+    that allocates.
     """
-    A, B, C = tables
+    chat, Chat = terms
     b1 = out
-    for k in range(len(c) - 1, -1, -1):
-        np.multiply(y, A[k], out=tmp)
-        tmp += B[k]
-        tmp *= b1
-        tmp += c[k]
-        b2 *= C[k + 1]
+    for k in range(len(chat) - 1, -1, -1):
+        bases._scaled_product(tables, k, y2, b1, tmp)
+        tmp += chat[k]
+        b2 *= Chat[k]
         tmp += b2
         b1, b2, tmp = tmp, b1, b2
     if b1 is not out:

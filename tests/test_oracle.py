@@ -457,3 +457,15 @@ def test_extended_block_matches_mpmath(name, M, N):
                            for k in range(M + N + 2)]))
     bound = np.finfo(float).eps / 2 * ref + 2e-17 * ref.max()
     assert np.all(err <= bound), float(np.max(err / bound))
+
+
+def test_extended_projection_keeps_small_weights():
+    # Jacobi(0, 10)'s weights span 111 binades over the projection nodes,
+    # and p_k is largest near y = -1 where they are smallest.  With all of W
+    # on the H side, the split projection cut W H's slices relative to the
+    # heavy nodes, lost the light ones and read 2.7e-10 of max |R| here.
+    basis = bases.jacobi(0.0, 10.0)
+    a = random_kernel(10, 3)
+    R = convmat.to_dense(convmat.build(basis, a, 300))
+    cols = oracle.conv_coeff_block(PolySeries(basis, (-1, 1), a), 300, extended=True)
+    assert np.max(np.abs(R - cols)) <= 1e-13 * np.max(np.abs(R))

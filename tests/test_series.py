@@ -80,7 +80,25 @@ class TestEvaluate:
 
 
 def _allocating_clenshaw(basis, coeffs, y):
-    """The Clenshaw sum as written before it ran in place: the reference."""
+    """The scaled Clenshaw sum written with allocating arithmetic: the reference."""
+    y = np.asarray(y)
+    y = y.astype(np.result_type(y, float), copy=False)
+    c = np.asarray(coeffs).astype(y.dtype)
+    K = len(c) - 1
+    s, a, b, _ = bases._step_tables(basis, K + 2, y.dtype.type)
+    C = bases.recurrence_abc(basis, np.arange(K + 2), y.dtype.type)[2]
+    y2 = y + y
+    bk1 = np.zeros_like(y)
+    bk2 = np.zeros_like(y)
+    for k in range(K, -1, -1):
+        yk = y2 if a is None else y2 * a[k]
+        yk = yk if b is None else yk + b[k]
+        bk1, bk2 = yk * bk1 + c[k] * s[k] + C[k + 1] * s[k] / s[k + 2] * bk2, bk1
+    return bk1
+
+
+def _unscaled_clenshaw(basis, coeffs, y):
+    """The Clenshaw sum on the unscaled recurrence_abc tables, allocating."""
     y = np.asarray(y)
     y = y.astype(np.result_type(y, float), copy=False)
     c = np.asarray(coeffs).astype(y.dtype)
@@ -94,7 +112,8 @@ def _allocating_clenshaw(basis, coeffs, y):
 
 
 CLENSHAW_BASES = [bases.chebyshev(), bases.legendre(), bases.gegenbauer(2.0),
-                  bases.jacobi(2.0, 1.5), bases.jacobi(-0.5, 0.3)]
+                  bases.jacobi(2.0, 1.5), bases.jacobi(-0.5, 0.3),
+                  bases.weighted_laguerre()]
 
 
 def _clenshaw_points(layout, large, dtype):
@@ -126,12 +145,30 @@ class TestThreadedClenshaw:
         assert (y.nbytes >= 3 * bases._MIN_RANGE_BYTES) == (large == "above")
         c = np.random.default_rng(12).uniform(-1, 1, 8 if large == "above" else 40)
         want = _allocating_clenshaw(basis, c, y)
+        if basis.kind in (bases.CHEBYSHEV, bases.WEIGHTED_LAGUERRE):
+            # their scales are powers of two or ones: the unscaled bits
+            old = _unscaled_clenshaw(basis, c, y)
+            assert np.array_equal(old, want)
+            assert np.array_equal(np.signbit(old), np.signbit(want))
         for cpus in (1, 3):
             monkeypatch.setattr(bases, "_cpu_count", lambda cpus=cpus: cpus)
             got = clenshaw(basis, c, y)
             assert got.dtype == want.dtype and got.shape == np.shape(want)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("basis", [bases.chebyshev(), bases.weighted_laguerre()],
+                             ids=lambda b: b.label())
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_unscaled_bits_at_degree_400(self, basis, dtype):
+        y = _clenshaw_points("1-d", False, dtype)
+        if not basis.finite_interval:
+            y = 5 * (y + 1)
+        c = np.random.default_rng(13).uniform(-1, 1, 401)
+        want = _unscaled_clenshaw(basis, c, y)
+        got = clenshaw(basis, c, y)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_kernel_runs_on_the_workers_above_the_floor(self, monkeypatch):
         threads = []
