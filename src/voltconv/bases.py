@@ -16,7 +16,7 @@ c_k = 4 C_k / (A_k A_{k-1}) (c_0 = 0), the values q_k = p_k / s_k satisfy
 
 and each caller multiplies by s_k once per value it keeps.  A step stores
 three arrays per point, four where B is nonzero (Jacobi with
-alpha != +-beta); the unscaled form stores four and five.  Every Chebyshev
+alpha != beta); the unscaled form stores four and five.  Every Chebyshev
 scale is a power of two, so its bits are those of the unscaled form.
 Weighted Laguerre stays unscaled, since its s_k = 1/(2^k k!) underflows
 near k = 150 in float64: its table carries the multiplier A_k / 2 for the
@@ -185,10 +185,13 @@ def _scaled_tables(A, B, C):
 
 
 def _step_tables(basis: BasisSpec, n: int, dtype):
-    """(s, a, b, c) for degrees 0..n-1, read by _recurrence_step.
+    """(s, a, b, c) of q_{k+1} = (a_k x2 + b_k) q_k + c_k q_{k-1}, p_k = s_k q_k,
+    for degrees 0..n-1 (s has n+1 entries), read by _recurrence_step.
 
-    Finite-interval bases get _scaled_tables, whose a is None.  Weighted
-    Laguerre stays unscaled: s is all ones, a = A / 2 and (b, c) = (B, C).
+    Finite-interval bases get _scaled_tables: a is None, so x's multiplier
+    is exactly 2 and a step stores three arrays, four with b.  Weighted
+    Laguerre stays unscaled: s is all ones, a = A / 2 and (b, c) = (B, C),
+    five stores a step.
     """
     A, B, C = recurrence_abc(basis, np.arange(n), dtype)
     if basis.finite_interval:
