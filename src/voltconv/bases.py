@@ -213,7 +213,7 @@ def _scaled_product(tables, k: int, x2: np.ndarray, q: np.ndarray,
 
 def _recurrence_step(tables, k: int, x2: np.ndarray, q: np.ndarray,
                      qm1: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """out = (x2 + b_k) q + c_k qm1 = q_{k+1}(x), without allocating.
+    """out = (a_k x2 + b_k) q + c_k qm1 = q_{k+1}(x), without allocating.
 
     ``tables`` comes from _step_tables and x2 = x + x; p_{k+1} is
     s_{k+1} q_{k+1}.  ``out`` may be ``qm1`` (an in-place update); ``tmp``
