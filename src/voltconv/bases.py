@@ -286,15 +286,6 @@ def values_at_minus_one(basis: BasisSpec, nmax: int) -> np.ndarray:
     return signs * mags
 
 
-def boundary_weights(basis: BasisSpec, nmax: int) -> np.ndarray:
-    """w_j = (-1)^(j+1) |p_j(-1)| for the row-0 boundary sum, j = 0..nmax.
-
-    These satisfy p_j(-1) = -w_j, so sum_k R_{k,n} p_k(-1) = 0 is equivalent
-    to R_{0,n} = sum_{j>=1} w_j R_{j,n}.
-    """
-    return -values_at_minus_one(basis, nmax)
-
-
 def weight_parameters(basis: BasisSpec):
     """(alpha, beta) of the orthogonality weight (1-x)^a (1+x)^b."""
     if basis.kind == CHEBYSHEV:

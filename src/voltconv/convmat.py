@@ -222,7 +222,7 @@ def _column0(basis: BasisSpec, a: np.ndarray,
         col[1:] = ap[k - 1] / (2.0 * (k + lam - 1.0)) - ap[k + 1] / (2.0 * (k + lam + 1.0))
     else:  # Jacobi
         col[1:] = tables.A[k] * ap[k - 1] + tables.B[k] * ap[k] + tables.C[k] * ap[k + 1]
-    w = bases.boundary_weights(basis, M + 1)
+    w = -bases.values_at_minus_one(basis, M + 1)   # sum_k col[k] p_k(-1) = 0
     col[0] = math.fsum(w[1:] * col[1:])
     return col
 
@@ -293,7 +293,7 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     # the recast forms are singular at n = 1 for Chebyshev, so column 1's
     # top entry comes from the boundary sum over its nonzero rows 1..M+2
     if N >= 1:
-        wts = bases.boundary_weights(basis, M + 2)
+        wts = -bases.values_at_minus_one(basis, M + 2)
         top[0, 1] = math.fsum(wts[1:] * D[:, 1])
         if flush:
             _flush_subnormal(top[0, 1:2])
@@ -510,7 +510,7 @@ def build_chebyshev_naive(a, N: int) -> np.ndarray:
     R = np.zeros((M + N + 2, N + 1))
     col0 = _column0(bases.chebyshev(), a, None)
     R[:M + 2, 0] = col0
-    wts = bases.boundary_weights(bases.chebyshev(), M + N + 2)
+    wts = -bases.values_at_minus_one(bases.chebyshev(), M + N + 2)
     for c in range(1, N + 1):
         hi = min(M + c + 1, M + N + 1)
         k = np.arange(1, hi + 1, dtype=float)
@@ -561,10 +561,10 @@ def _dense(R: ConvMatrix, nrows: int, ncols: int) -> np.ndarray:
     return out
 
 
-def _column(R: ConvMatrix, n: int, dtype=float) -> np.ndarray:
-    """Unscaled column n (rows 0..M+N+1) in the given dtype."""
+def _column(R: ConvMatrix, n: int) -> np.ndarray:
+    """Unscaled column n (rows 0..M+N+1)."""
     M, N = R.M, R.N
-    out = np.zeros(M + N + 2, dtype=dtype)
+    out = np.zeros(M + N + 2)
     out[:M + 1] = R.top[:, n]
     klo = max(M + 1, n - (M + 1))
     out[klo:n + M + 2] = R.band[klo - n + M + 1:, n]

@@ -11,12 +11,11 @@ extended tier ("extended") whose quadrature nodes, recurrences and dot
 products run in longdouble.  The extended tier exists because at large
 M, N the integrands oscillate violently and the comparison tolerances sit
 below the double-precision quadrature noise floor (node rounding alone
-contributes O(eps * w * g')).  Its projection onto the basis is the one
-matrix product numpy has no BLAS for in longdouble; it runs as float64
-GEMMs on exact slices of the operands, which round nothing
-(_split_matmul), and is more accurate than a longdouble matmul.  Where
-np.longdouble is no wider than float64, the extended tier refuses
-(NarrowLongdoubleError) rather than run in double.
+contributes O(eps * w * g')).  The public entry points take the tier;
+below them the quadrature rules' dtype carries it, and both tiers run
+the same code, the projection included.  Where np.longdouble is no wider
+than float64, the extended tier refuses (NarrowLongdoubleError) rather
+than run in double.
 
 The two grid recurrences, h_n at the projection nodes (_h_values) and p_n
 at the sampled points (_pn_rows), treat every grid row on its own, and
@@ -27,9 +26,9 @@ bases._MIN_RANGE_BYTES of grid, in a pool that lives for the call
 The kernel's values on the grid come from series.clenshaw, which splits its
 points the same way.  Every buffer the workers write is allocated by the
 caller before the split, and the workers call private functions only: the
-public series.clenshaw, the recurrence tables and the projection GEMMs all
-run on the calling thread, so a wrapper that a caller puts around a public
-voltconv function is only ever entered from that thread.
+public series.clenshaw, the recurrence tables and the projection product
+all run on the calling thread, so a wrapper that a caller puts around a
+public voltconv function is only ever entered from that thread.
 """
 
 from __future__ import annotations
@@ -42,13 +41,12 @@ import numpy as np
 from . import bases, quadrature
 from .bases import BasisSpec
 from .convmat import ConvMatrix, _column, _size, to_dense
-from .errors import DimensionError, DomainMismatchError, OversizeError
+from .errors import ArgumentError, DimensionError, DomainMismatchError, OversizeError
 from .prng import SplitMix64
 from .quadrature import LD
 from .series import PolySeries, clenshaw, evaluate
 
 COEFF_ORACLE_CAP = 600  # max M+n for entrywise columns; sample pointwise beyond
-_LD_BITS = np.finfo(LD).nmant + 1
 
 
 @dataclass(frozen=True)
@@ -88,66 +86,28 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
     al, be = bases.weight_parameters(f.basis)
     proj = quadrature.cached_gauss_jacobi(al, be, J, extended=extended)
     y, W = proj.x, proj.w
-    # sqrt(W) goes into both factors.  With all of W on the H side,
-    # _split_matmul cut W H's slices relative to the heavy nodes and lost
-    # the light ones, where p_k is large (Jacobi(0, 10) near y = -1).
+    # sqrt(W) goes into both factors, so that the norms are the column sums
+    # of V * V.  np.dot on a contiguous V^T: in longdouble, numpy's matmul
+    # loop and np.dot on the strided view take two to three times as long.
     root_w = np.sqrt(W)[:, None]
-    WH = _h_values(f, y, q, N, extended).T     # (J, N+1)
+    WH = _h_values(f, y, q, N).T               # (J, N+1)
     WH *= root_w
     V = bases.poly_vandermonde(f.basis, y, K)
     V *= root_w
-    num = _split_matmul(V.T, WH) if extended else V.T @ WH   # (K+1, N+1)
+    num = np.dot(np.ascontiguousarray(V.T), WH)               # (K+1, N+1)
     norms = np.einsum("jk,jk->k", V, V)
     out = (num / norms[:, None]).astype(float, copy=False)   # (M+N+2, N+1)
     out[np.tri(K + 1, N + 1, -(M + 2), dtype=bool)] = 0.0     # rows k > M+n+1
     return out
 
 
-def _split_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for longdouble matrices, from float64 GEMMs that round nothing.
-
-    Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59(1), 2012.  Each row of
-    a and each column of b is split, relative to its own largest entry, into
-    integer-valued float64 slices of beta bits, with beta chosen so that no
-    sum of J slice products exceeds 2^53: every slice product is then exact
-    in any summation order.  The partial products are added in
-    longdouble, smallest first.  Entries down to 2^-20 of their line's
-    largest keep their full longdouble significand.
-    """
-    J = a.shape[1]
-    beta = (53 - (J - 1).bit_length()) // 2
-    count = -(-(_LD_BITS + 20) // beta)
-    ea, sa = _slices(a, 1, beta, count)
-    eb, sb = _slices(b, 0, beta, count)
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=LD)
-    for level in reversed(range(count)):
-        acc *= LD(2.0) ** -beta
-        for i in range(level + 1):
-            acc += sa[i] @ sb[level - i]
-    return np.ldexp(acc, ea + eb - 2 * beta)
-
-
-def _slices(x: np.ndarray, axis: int, beta: int, count: int):
-    """Exponents e (max |x| < 2^e along axis) and float64 integer slices s_i
-    with x ~ 2^(e - beta) sum_i s_i 2^(-i beta), |s_i| <= 2^beta."""
-    e = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
-    r = np.ldexp(x, beta - e)
-    out = []
-    for _ in range(count):
-        s = np.rint(r, out=np.empty(r.shape))
-        out.append(s)
-        r -= s
-        r *= LD(2.0) ** beta
-    return e, out
-
-
-def _h_values(f: PolySeries, y: np.ndarray, q: int, N: int, extended: bool):
+def _h_values(f: PolySeries, y: np.ndarray, q: int, N: int):
     """H[n, j] = h_n(y_j): the q-point rule on [-1, y_j] applied to p_n.
 
     The nodes y_j are cut into contiguous blocks, one per worker
     (bases._run_split).
     """
-    t, G = _kernel_on_grid(f, y, q, extended)
+    t, G = _kernel_on_grid(f, y, q)
     t += t                    # the doubled grid that the scaled recurrence reads
     tables = bases._step_tables(f.basis, N, t.dtype.type)
     p, pm1, tmp = np.ones_like(t), np.zeros_like(t), np.empty_like(t)
@@ -168,13 +128,14 @@ def _h_block(tables, G, t2, q, qm1, tmp, H):
     H *= tables[0][:, None]
 
 
-def _kernel_on_grid(f: PolySeries, y: np.ndarray, q: int, extended: bool):
-    """q-point Gauss-Legendre nodes t on each [-1, y_j] and the weights G.
+def _kernel_on_grid(f: PolySeries, y: np.ndarray, q: int):
+    """q-point Gauss-Legendre nodes t on each [-1, y_j] and the weights G,
+    from a rule in y's precision.
 
     G[j, i] = f(y_j - 1 - t_ji) w_i (y_j + 1) / 2, so that
     sum_i G[j, i] g(t_ji) is the rule for int_{-1}^{y_j} f(y_j - 1 - t) g(t) dt.
     """
-    gl = quadrature.cached_gauss_legendre(q, extended=extended)
+    gl = quadrature.cached_gauss_legendre(q, extended=(y.dtype == LD))
     half = (y + 1)[:, None] / 2
     t = -1 + half * (gl.x + 1)[None, :]
     F = clenshaw(f.basis, f.coeffs, y[:, None] - 1 - t)
@@ -253,17 +214,24 @@ def sampled_value_errors(R: ConvMatrix, f: PolySeries, n_samples: int,
     grow at the endpoints (Gegenbauer/Jacobi, p_k(1) ~ k^(2 lam - 1)) reach
     sample values ~1e11 at large scale, where even rounding exact entries
     to doubles costs ~1e-4 absolutely; entry-scale accuracy is what the
-    construction claims and what this check measures.
+    construction claims and what this check measures.  f must be the kernel
+    R was built from: its basis and degree are checked.
     """
+    if f.basis != R.basis or f.degree != R.M:
+        raise DomainMismatchError(
+            f"kernel {f.basis.label()} of degree {f.degree} does not match the "
+            f"matrix's {R.basis.label()} of degree {R.M}")
+    if _size(n_samples, "n_samples") < 1:
+        raise ArgumentError("n_samples must be >= 1")
     quadrature.require_extended()
     M, N = R.M, R.N
     rng = SplitMix64(seed)
     ncols = rng.integers(n_samples, N)
     rows = rng.integers(n_samples, M + N + 1)
-    y = np.cos(PI_LD * rows.astype(LD) / LD(M + N + 1))
+    y = np.cos(quadrature.PI_LD * rows.astype(LD) / LD(M + N + 1))
 
     # oracle side: h_n(y) = int_{-1}^{y} f(y-1-t) p_n(t) dt
-    t, G = _kernel_on_grid(f, y, (M + N) // 2 + 2, True)
+    t, G = _kernel_on_grid(f, y, (M + N) // 2 + 2)
     P = _pn_rows(f.basis, t, ncols)
     oracle_vals = np.sum(G * P, axis=1)
 
@@ -271,16 +239,13 @@ def sampled_value_errors(R: ConvMatrix, f: PolySeries, n_samples: int,
     V = bases.poly_vandermonde(f.basis, y, M + N + 1)
     errs = np.empty(n_samples)
     for i in range(n_samples):
-        got = np.sum(V[i] * _column(R, int(ncols[i]), LD))
+        got = np.sum(V[i] * _column(R, int(ncols[i])))
         raw = LD(abs(R.scale)) * abs(got - oracle_vals[i])
         errs[i] = float(raw / max(LD(1.0), abs(oracle_vals[i])))
     info = {"basis": R.basis.label(), "M": M, "N": N, "seed": seed,
             "kind": "pointwise", "columns": ncols, "y": y.astype(float),
             "normalized": True}
     return ErrorReport(errs, float(errs.max()), info)
-
-
-PI_LD = quadrature.PI_LD
 
 
 def _pn_rows(basis: BasisSpec, t: np.ndarray, ncols: np.ndarray) -> np.ndarray:

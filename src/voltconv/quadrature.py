@@ -49,9 +49,6 @@ class QuadRule:
     def extended(self) -> bool:
         return self.x.dtype == LD
 
-    def as_double(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.x.astype(float), self.w.astype(float)
-
 
 def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the symmetric tridiagonal (diag, off), in float64."""
