@@ -151,7 +151,7 @@ class TestReports:
     @pytest.mark.parametrize("kernel", [(bases.chebyshev(), 10), (bases.legendre(), 4)],
                              ids=["basis", "degree"])
     def test_sampled_kernel_must_match(self, kernel):
-        # a mismatched kernel read 0.0166 (Chebyshev) and 0.0071 (degree 4)
+        # another kernel's oracle values would give an error figure, not an error
         R = convmat.build(bases.legendre(), random_kernel(10, 3), 200)
         basis, M = kernel
         with pytest.raises(DomainMismatchError):
