@@ -135,7 +135,9 @@ def _kernel_on_grid(f: PolySeries, y: np.ndarray, q: int):
     G[j, i] = f(y_j - 1 - t_ji) w_i (y_j + 1) / 2, so that
     sum_i G[j, i] g(t_ji) is the rule for int_{-1}^{y_j} f(y_j - 1 - t) g(t) dt.
     """
-    gl = quadrature.cached_gauss_legendre(q, extended=(y.dtype == LD))
+    # Not y.dtype == LD: where longdouble is plain double the two dtypes
+    # compare equal, and a float64 y would ask for the refused extended rule.
+    gl = quadrature.cached_gauss_legendre(q, extended=(y.dtype != np.float64))
     half = (y + 1)[:, None] / 2
     t = -1 + half * (gl.x + 1)[None, :]
     F = clenshaw(f.basis, f.coeffs, y[:, None] - 1 - t)

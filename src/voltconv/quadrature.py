@@ -47,7 +47,7 @@ class QuadRule:
 
     @property
     def extended(self) -> bool:
-        return self.x.dtype == LD
+        return self.x.dtype != np.float64
 
 
 def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

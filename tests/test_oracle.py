@@ -322,8 +322,14 @@ class TestNarrowLongdouble:
         for call in calls:
             with pytest.raises(NarrowLongdoubleError, match="eps here is"):
                 call()
-        # the float64 tier does not need longdouble
+        # the float64 tier does not need longdouble, also where longdouble
+        # is plain double and so compares equal to float64
         assert oracle.conv_coeff_block(f, 10).shape == (13, 11)
+        monkeypatch.setattr(oracle, "LD", np.float64)
+        monkeypatch.setattr(quadrature, "LD", np.float64)
+        quadrature.cached_gauss_legendre.cache_clear()   # a cached rule skips the check
+        assert oracle.conv_coeff_block(f, 10).shape == (13, 11)
+        assert not quadrature.gauss_legendre(7).extended
         assert quadrature.gauss_jacobi(1.0, 0.5, 7).x.dtype == np.float64
 
 
