@@ -25,13 +25,16 @@ same doubled grid, which gives the unscaled bits at five stores a step.
 The recurrences treat every point on its own, and numpy releases the GIL
 inside their ufunc loops, so the Clenshaw sum and the oracle's grid
 recurrences split their points over one thread per CPU, above a floor.
+They, and convmat.apply's row blocks, run on one worker pool that lives
+for the process (_pool, _run_split).
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -48,14 +51,14 @@ WEIGHTED_LAGUERRE = "WeightedLaguerre"
 _KINDS = (CHEBYSHEV, LEGENDRE, GEGENBAUER, JACOBI, WEIGHTED_LAGUERRE)
 
 # The least grid, in bytes, that each thread of a split recurrence gets:
-# 32768 float64 or 16384 longdouble points.  A split costs the pool's start
-# and join (0.3-0.4 ms) once and, at every step, a handoff of the GIL at
-# each ufunc call: four a term for a Legendre Clenshaw.  Split into two
-# ranges of this size on a 2-vCPU VM, that Clenshaw took 0.71 of the inline
-# time in longdouble with 101 terms and 0.92 with 11, and in float64 1.02
-# and 1.72 (medians of 41 interleaved runs); with ranges half this size,
-# longdouble took 0.69 and 1.15, float64 1.38 and 1.98.  The oracle's sums
-# are longdouble, where this floor pays.
+# 32768 float64 or 16384 longdouble points.  A split costs a handoff of the
+# GIL at each ufunc call: four a term for a Legendre Clenshaw.  Split into
+# two ranges of this size on a 2-vCPU VM, with a pool started and joined
+# for each call (0.3-0.4 ms), that Clenshaw took 0.71 of the inline time in
+# longdouble with 101 terms and 0.92 with 11, and in float64 1.02 and 1.72
+# (medians of 41 interleaved runs); with ranges half this size, longdouble
+# took 0.69 and 1.15, float64 1.38 and 1.98.  The oracle's sums are
+# longdouble, where this floor pays.
 _MIN_RANGE_BYTES = 1 << 18
 
 # Degenerate-parameter guard: Jacobi's alpha + beta = -1 (the integration
@@ -322,30 +325,66 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _workers(nbytes: int, rows: int) -> int:
+def _workers(nbytes: int, rows: int, floor: int = _MIN_RANGE_BYTES) -> int:
     """Worker count for a grid of ``nbytes`` that splits into at most
     ``rows`` independent rows (or points): one per CPU, at most one per row
-    and one per _MIN_RANGE_BYTES of grid, and at least one."""
-    return max(1, min(_cpu_count(), rows, nbytes // _MIN_RANGE_BYTES))
+    and one per ``floor`` bytes of grid, and at least one."""
+    most = min(rows, nbytes // floor)
+    return 1 if most < 2 else min(_cpu_count(), most)
+
+
+_POOL: Optional[ThreadPoolExecutor] = None
+_POOL_LOCK = threading.Lock()
+_POOL_THREAD_PREFIX = "voltconv-pool"
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The shared worker pool: _cpu_count() - 1 threads (at least one),
+    made on first use and kept for the life of the process.  Its threads
+    start as work arrives and then wait for more, so a split pays a handoff
+    rather than a pool's start and join."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max(1, _cpu_count() - 1),
+                                       thread_name_prefix=_POOL_THREAD_PREFIX)
+        return _POOL
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child, where its threads did not survive
+    (and its lock may have been held by one), so that the child makes its
+    own pool instead of waiting forever on the parent's."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):    # POSIX
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _run_split(work, parts) -> None:
-    """work(*part) for every part, each on its own thread when there are two
-    or more, and inline when there is one.
+    """work(*part) for every part: the last on the calling thread, the others
+    on the shared pool's workers (_pool), and all inline when there is one.
 
     Every buffer a part names is allocated by the caller, and ``work`` calls
-    private functions only: the threads neither allocate the large arrays
+    private functions only: the workers neither allocate the large arrays
     (which would spread them over per-thread malloc arenas) nor enter a
-    public function that a caller may have wrapped.  Each thread runs in a
+    public function that a caller may have wrapped.  Each worker runs in a
     copy of the caller's contextvars context, so np.errstate carries over.
-    Every result is read, so a worker's exception reaches the caller once
-    all threads have ended.
+    The caller waits for every worker before it returns or raises, and reads
+    every result, so a worker's exception reaches the caller.  Workers never
+    wait on the pool themselves, so concurrent callers cannot deadlock it.
     """
     if len(parts) == 1:
         work(*parts[0])
         return
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, work, *part)
-                   for part in parts]
-        for future in futures:
-            future.result()
+    pool = _pool()
+    futures = [pool.submit(contextvars.copy_context().run, work, *part)
+               for part in parts[:-1]]
+    try:
+        work(*parts[-1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()

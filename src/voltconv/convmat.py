@@ -24,7 +24,9 @@ Regions A and C read one RecurrenceTables per basis, with no per-basis
 branch.  Entries below finfo.tiny are stored as exact zeros (see build),
 and region A stops each offset at its last nonzero entry.
 Every reader of the packed storage lives in this module; apply() reads the
-band through a zero-copy scipy.sparse DIA view of it (ConvMatrix._dia).
+band through zero-copy scipy.sparse DIA views of its row blocks
+(ConvMatrix._row_blocks), one per CPU on bases' shared worker pool above
+a size floor, with the same bits for any number of blocks.
 
 The naive single-recursion builder is kept for error-growth studies; above
 the main diagonal its multipliers exceed 1 and roundoff snowballs.
@@ -54,6 +56,15 @@ __all__ = [
 
 _TINY = np.finfo(float).tiny
 
+# The least bytes of top and band that each of apply's row blocks gets;
+# below twice this, one block runs inline.  A split costs 0.1-0.2 ms of
+# handoffs between the caller and a pool thread.  With two blocks on a
+# 2-vCPU VM (one BLAS thread), apply took 1.24-1.50 of the inline time at
+# 2.1 MiB (M = 10, N = 8000), 0.98-1.04 at 3.1 MiB, 0.82-0.93 at 4.2 MiB,
+# 0.71 at 9.3 MiB (100, 4000) and 0.66 at 115 MiB (1000, 5000): medians
+# of 41 interleaved rounds, per call.
+_MIN_APPLY_BYTES = 1 << 21
+
 
 @dataclass(frozen=True)
 class ConvMatrix:
@@ -65,8 +76,8 @@ class ConvMatrix:
     (l = u = M+1) of R's rows >= M+1, with zeros wherever k <= M or
     k > M+N+1.  Everything else is a structural zero.  ``scale`` is the
     domain-length Jacobian applied by apply()/to_dense(); the stored
-    entries are always for the canonical interval.  ``_dia`` views band as
-    a scipy.sparse DIA array without copying it.
+    entries are always for the canonical interval.  ``_row_blocks`` views
+    band's row blocks as scipy.sparse DIA arrays without copying it.
     """
 
     basis: BasisSpec
@@ -89,13 +100,35 @@ class ConvMatrix:
         return self.M + 1
 
     @functools.cached_property
-    def _dia(self):
-        """band as an (N+1) x (N+1) dia_array of R's rows M+1..M+N+1, sharing
-        its memory: band row d holds the diagonal n - (k-M-1) = 2M+2-d, so
-        offsets run 2M+2 .. 0 and the zeros of rows k <= M are not read."""
-        from scipy.sparse import dia_array
-        return dia_array((self.band, np.arange(2 * self.M + 2, -1, -1)),
-                         shape=(self.N + 1, self.N + 1))
+    def _views(self) -> dict:
+        """_row_blocks' results by part count."""
+        return {}
+
+    def _row_blocks(self, parts: int):
+        """[(lo, view)]: R's rows M+1..M+N+1 cut into at most ``parts`` row
+        blocks, as dia_arrays over band itself, made once per part count.
+
+        Band row d holds the diagonal n - (k-M-1) = 2M+2-d, so a block whose
+        first row is R's row M+1+lo has offsets 2M+2+lo .. lo, and the zeros
+        of rows k <= M are not read.  scipy sums each output row over the
+        diagonals in offset order, so every row sums the same products in
+        the same order for any cut.  The first block also carries the top
+        product; the cuts balance the entries each block reads, counting
+        all of top with the first.
+        """
+        views = self._views.get(parts)
+        if views is None:
+            from scipy.sparse import dia_array
+            M, N = self.M, self.N
+            reads = np.cumsum(np.minimum(2 * M + 2, N - np.arange(N + 1)) + 1)
+            reads += (M + 1) * (N + 1)
+            cuts = np.searchsorted(reads, reads[-1] * np.arange(1, parts) / parts)
+            cuts = np.unique(np.concatenate([[0], cuts, [N + 1]]))
+            offsets = np.arange(2 * M + 2, -1, -1)
+            views = self._views[parts] = [
+                (lo, dia_array((self.band, offsets + lo), shape=(hi - lo, N + 1)))
+                for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
+        return views
 
     def entry(self, k: int, n: int) -> float:
         """Scaled entry R_{k,n} (0 outside the stored structure)."""
@@ -574,20 +607,36 @@ def _column(R: ConvMatrix, n: int) -> np.ndarray:
 def apply(R: ConvMatrix, b) -> np.ndarray:
     """c = scale * (R b); touches only stored entries.
 
-    b may be shorter than N+1 (implicitly zero-padded), never longer.
+    b may be shorter than N+1 (implicitly zero-padded), never longer.  From
+    _MIN_APPLY_BYTES of top and band up, R's row blocks (ConvMatrix.
+    _row_blocks) run one per CPU on the shared pool (bases._run_split); the
+    result has the same bits for any number of blocks.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 1:
         raise DimensionError("b must be a vector")
     if b.size > R.N + 1:
         raise DimensionError(f"b has {b.size} entries; at most {R.N + 1} allowed")
-    x = np.zeros(R.N + 1)
-    x[:b.size] = b
+    x = b
+    if b.size < R.N + 1:
+        x = np.zeros(R.N + 1)
+        x[:b.size] = b
     out = np.empty(R.M + R.N + 2)
-    out[R.M + 1:] = R._dia @ x
-    np.add(R.top[:, :b.size] @ b, 0.0, out=out[:R.M + 1])   # no -0.0 in rows 0..M
+    parts = bases._workers(R.top.nbytes + R.band.nbytes, R.N + 1, _MIN_APPLY_BYTES)
+    bases._run_split(_apply_rows, [(R, lo, view, x, b, out)
+                                   for lo, view in R._row_blocks(parts)])
     out *= R.scale
     return out
+
+
+def _apply_rows(R: ConvMatrix, lo: int, view, x: np.ndarray, b: np.ndarray,
+                out: np.ndarray) -> None:
+    """One row block of R b into out (unscaled), and rows 0..M with the
+    first block (lo = 0), from b and its padded copy x."""
+    start = R.M + 1 + lo
+    out[start:start + view.shape[0]] = view @ x
+    if lo == 0:
+        np.add(R.top[:, :b.size] @ b, 0.0, out=out[:R.M + 1])   # no -0.0 in rows 0..M
 
 
 def to_dense(R: ConvMatrix) -> np.ndarray:

@@ -14,6 +14,7 @@ this convention, matching the degrees the verification suite pins down.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,9 @@ class LaguerreConvMatrix:
     """Implicit Toeplitz-difference convolution matrix; stores the kernel only.
 
     Logical shape (M+N+2) x (N+1), entry (k, n) = a_{k-n} - a_{k-n-1} with
-    a_j := 0 outside 0..M.
+    a_j := 0 outside 0..M.  ``_kernel_rfft`` holds the kernel's transform
+    for each FFT length that apply_laguerre has used: a power of two up to
+    twice M+N+1, so at most about log2(M+N) of them.
     """
 
     a: np.ndarray = field(repr=False)
@@ -44,6 +47,10 @@ class LaguerreConvMatrix:
     @property
     def shape(self):
         return (self.M + self.N + 2, self.N + 1)
+
+    @functools.cached_property
+    def _kernel_rfft(self) -> dict:
+        return {}
 
     def entry(self, k: int, n: int) -> float:
         M = self.M
@@ -78,7 +85,8 @@ def apply_laguerre(R: LaguerreConvMatrix, b) -> np.ndarray:
     """c with c_k = s_k - s_{k-1}, s the full discrete convolution of a and b.
 
     Uses direct summation at small sizes and a padded FFT beyond
-    FFT_THRESHOLD; the two paths agree to ~1e-13 elementwise.
+    FFT_THRESHOLD; the two paths agree to ~1e-13 elementwise.  The FFT path
+    transforms the kernel once per FFT length (R._kernel_rfft).
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 1:
@@ -93,7 +101,13 @@ def apply_laguerre(R: LaguerreConvMatrix, b) -> np.ndarray:
     else:
         L = a.size + b.size - 1
         nfft = 1 << (L - 1).bit_length()
-        s = np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(b, nfft), nfft)[:L]
+        fa = R._kernel_rfft.get(nfft)
+        if fa is None:
+            fa = R._kernel_rfft[nfft] = np.fft.rfft(a, nfft)
+            fa.setflags(write=False)
+        fb = np.fft.rfft(b, nfft)
+        fb *= fa
+        s = np.fft.irfft(fb, nfft)[:L]
     c = np.empty(s.size + 1)
     c[0] = s[0]
     c[1:-1] = s[1:] - s[:-1]

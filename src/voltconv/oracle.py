@@ -21,8 +21,9 @@ The two grid recurrences, h_n at the projection nodes (_h_values) and p_n
 at the sampled points (_pn_rows), treat every grid row on its own, and
 numpy releases the GIL inside their ufunc loops.  Each call splits the rows
 over one thread per CPU the process may use, but none with less than
-bases._MIN_RANGE_BYTES of grid, in a pool that lives for the call
-(bases._run_split); the result has the same bits for any thread count.
+bases._MIN_RANGE_BYTES of grid: the calling thread runs one part and the
+shared pool that lives for the process the others (bases._run_split);
+the result has the same bits for any thread count.
 The kernel's values on the grid come from series.clenshaw, which splits its
 points the same way.  Every buffer the workers write is allocated by the
 caller before the split, and the workers call private functions only: the
@@ -104,7 +105,7 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
 def _h_values(f: PolySeries, y: np.ndarray, q: int, N: int):
     """H[n, j] = h_n(y_j): the q-point rule on [-1, y_j] applied to p_n.
 
-    The nodes y_j are cut into contiguous blocks, one per worker
+    The nodes y_j are cut into contiguous blocks, one per thread
     (bases._run_split).
     """
     t, G = _kernel_on_grid(f, y, q)
@@ -257,8 +258,8 @@ def _pn_rows(basis: BasisSpec, t: np.ndarray, ncols: np.ndarray) -> np.ndarray:
     recurrence on rows sorted by target degree, dropping each prefix of
     rows from the active set once its degree is reached (cost ~ sum of the
     individual degrees).  The sorted rows are dealt round-robin into one
-    group per worker, so that every group gets the same mix of degrees, and
-    gathered so that each group's rows are contiguous; each worker runs the
+    group per thread, so that every group gets the same mix of degrees, and
+    gathered so that each group's rows are contiguous; each thread runs the
     shrinking-prefix loop on its own group (bases._run_split).  The buffers,
     the tables and each group's degree boundaries are all made here, on the
     calling thread, and the workers call private functions only.

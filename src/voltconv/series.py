@@ -94,10 +94,10 @@ def clenshaw(basis: BasisSpec, coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
     unscaled six.  The result is a new array of y's shape.  Every point is
     summed on its own, so the points are split into contiguous ranges, one
     per CPU the process may use but none smaller than
-    bases._MIN_RANGE_BYTES, and each range is summed on its own thread
-    (bases._run_split); the bits do not depend on the thread count.  The
-    tables, y2, the result and the two scratch arrays are made here, on the
-    calling thread.
+    bases._MIN_RANGE_BYTES, and each range is summed on its own thread: the
+    caller's or one of the shared pool's (bases._run_split); the bits do not
+    depend on the thread count.  The tables, y2, the result and the two
+    scratch arrays are made here, on the calling thread.
     """
     y = bases._float_array(y)
     c = np.asarray(coeffs).astype(y.dtype)

@@ -1,9 +1,13 @@
 import itertools
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -312,23 +316,146 @@ class TestApply:
     @pytest.mark.parametrize("basis", list(APPLY_BASES.values()), ids=list(APPLY_BASES))
     @pytest.mark.parametrize("M, N", [(0, 0), (3, 1), (5, 12), (10, 15), (40, 60),
                                       (10, 200)])
-    def test_matches_diagonal_loop(self, basis, M, N):
+    def test_matches_diagonal_loop(self, basis, M, N, monkeypatch):
+        # a floor of one byte splits every matrix into one row block per CPU
+        monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1)
         a = np.random.default_rng(M + 17 * N).uniform(-1, 1, M + 1)
         R = convmat.build(basis, a, N, scale=0.7)
         rng = np.random.default_rng(N)
         for size in (0, 1, N // 2 + 1, N + 1):
             b = rng.uniform(-1, 1, size)
-            assert np.array_equal(convmat.apply(R, b), reference_apply(R, b)), size
+            want = reference_apply(R, b)
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(bases, "_cpu_count", lambda cpus=cpus: cpus)
+                got = convmat.apply(R, b)
+                assert np.array_equal(got, want), (size, cpus)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (size, cpus)
 
-    def test_dia_view_shares_band(self):
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_split_at_the_real_floor(self, cpus, monkeypatch):
+        R = convmat.build(bases.jacobi(2.0, 1.5), random_kernel(100, 2), 4000)
+        assert R.top.nbytes + R.band.nbytes >= 3 * convmat._MIN_APPLY_BYTES
+        splits = []
+        run_split = bases._run_split
+
+        def record(work, parts):
+            splits.append(len(parts))
+            run_split(work, parts)
+
+        monkeypatch.setattr(bases, "_run_split", record)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: cpus)
+        for size in (4001, 1500):
+            b = np.random.default_rng(size).uniform(-1, 1, size)
+            got, want = convmat.apply(R, b), reference_apply(R, b)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        # the top rows, a third of the entries here, ride with the first block
+        assert splits == [2, 2]
+
+    def test_nothing_is_submitted_below_the_floor(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("the worker pool was used below the floor")
+
+        monkeypatch.setattr(bases, "_pool", no_pool)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
+        for M, N in ((10, 200), (10, 7000), (100, 1200)):
+            R = convmat.build(bases.chebyshev(), random_kernel(M, 2), N)
+            assert R.top.nbytes + R.band.nbytes < 2 * convmat._MIN_APPLY_BYTES
+            b = np.ones(N + 1)
+            assert np.array_equal(convmat.apply(R, b), reference_apply(R, b))
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        caller = threading.get_ident()
+        apply_rows = convmat._apply_rows
+
+        def fail_on_worker(*args):
+            if threading.get_ident() != caller:
+                raise FloatingPointError("block failed")
+            apply_rows(*args)
+
+        monkeypatch.setattr(convmat, "_apply_rows", fail_on_worker)
+        monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 2)
+        R = convmat.build(bases.legendre(), random_kernel(10, 2), 200)
+        with pytest.raises(FloatingPointError, match="block failed"):
+            convmat.apply(R, np.ones(201))
+
+    def test_concurrent_callers_get_exact_results(self, monkeypatch):
+        # more blocks than CPUs, from two threads at once, switching often
+        monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
+        cases = []
+        for seed, basis in enumerate((bases.gegenbauer(2.0), bases.jacobi(2.0, 1.5))):
+            R = convmat.build(basis, random_kernel(10, seed), 300)
+            b = np.random.default_rng(seed).uniform(-1, 1, 301)
+            cases.append((R, b, reference_apply(R, b)))
+        bad = []
+
+        def run(R, b, want):
+            for _ in range(200):
+                got = convmat.apply(R, b)
+                if not np.array_equal(got, want):
+                    bad.append(got)
+
+        threads = [threading.Thread(target=run, args=case) for case in cases]
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not bad
+
+    def test_row_block_views_share_band(self, monkeypatch):
         R = convmat.build(bases.jacobi(2.0, 1.5), random_kernel(10, 2), 50)
         b = np.ones(51)
-        convmat.apply(R, b)
-        view = R._dia
-        assert np.shares_memory(view.data, R.band)
-        assert view.shape == (R.N + 1, R.N + 1)     # R's rows M+1..M+N+1
-        convmat.apply(R, b)
-        assert R._dia is view
+        monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(bases, "_cpu_count", lambda cpus=cpus: cpus)
+            convmat.apply(R, b)
+            views = R._views[cpus]
+            assert 1 <= len(views) <= cpus
+            assert [lo for lo, _ in views] == list(
+                np.cumsum([0] + [view.shape[0] for _, view in views[:-1]]))
+            assert sum(view.shape[0] for _, view in views) == R.N + 1   # rows M+1..
+            for lo, view in views:
+                assert np.shares_memory(view.data, R.band)
+                assert view.shape[1] == R.N + 1
+            convmat.apply(R, b)
+            assert R._views[cpus] is views
+        assert len(R._views[1]) == 1 and len(R._views[2]) == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX only")
+    def test_forked_child_makes_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 2)
+        R = convmat.build(bases.legendre(), random_kernel(10, 2), 200)
+        b = np.ones(201)
+        want = convmat.apply(R, b)      # the pool now has a thread, which fork drops
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)   # fork with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(convmat.apply(R, b), want) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's apply did not finish")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_matches_dense_columns(self, finite_basis):
         rng = np.random.default_rng(10)

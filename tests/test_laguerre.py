@@ -82,6 +82,32 @@ class TestApply:
             ref = np.concatenate([[s[0]], np.diff(s), [-s[-1]]])
             assert np.max(np.abs(got - ref)) < 1e-13
 
+    def test_kernel_transformed_once_per_fft_length(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-1, 1, 301)
+        R = laguerre.build_laguerre(a, 1000)
+        rfft = np.fft.rfft
+        kernel_calls = []
+
+        def counting_rfft(x, n=None, *args, **kwargs):
+            if x is R.a:
+                kernel_calls.append(n)
+            return rfft(x, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        for size in (1001, 1001, 400, 1001, 400):     # FFT lengths 2048 and 1024
+            b = rng.uniform(-1, 1, size)
+            assert (a.size * b.size) > laguerre.FFT_THRESHOLD
+            got = laguerre.apply_laguerre(R, b)
+            s = np.convolve(a, b)
+            ref = np.concatenate([[s[0]], np.diff(s), [-s[-1]]])
+            assert np.max(np.abs(got - ref)) < 1e-13
+        assert kernel_calls == [2048, 1024]
+        # a second matrix over the same kernel values keeps its own transforms
+        R2 = laguerre.build_laguerre(a, 1000)
+        assert np.array_equal(laguerre.apply_laguerre(R2, b), got)
+        assert list(R2._kernel_rfft) == [1024] and sorted(R._kernel_rfft) == [1024, 2048]
+
     def test_commutativity(self):
         rng = np.random.default_rng(4)
         a = rng.uniform(-1, 1, 31)

@@ -217,10 +217,10 @@ class TestThreadedRecurrences:
 
     @pytest.mark.parametrize("name", list(EXTENDED_BASES))
     def test_no_pool_below_the_floor(self, name, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started below the floor")
+        def no_pool():
+            raise AssertionError("the worker pool was used below the floor")
 
-        monkeypatch.setattr(bases, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(bases, "_pool", no_pool)
         monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
         for M, N, samples in SMALL:
             out = _oracle_outputs(name, M, N, samples)
@@ -260,21 +260,23 @@ class TestThreadedRecurrences:
         monkeypatch.setattr(oracle, "_pn_group", on_worker(pn_group, workers))
         monkeypatch.setattr(series, "_clenshaw_rows", on_worker(clenshaw_rows, kernels))
         monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
-        before = threading.active_count()
-        _oracle_outputs("jacobi_2_1.5", *LARGE)
         # 2000 points x 102 nodes: both of its Clenshaw sums lie above the floor
         f = PolySeries(bases.legendre(), (-1, 1), random_kernel(100, 3))
         g = PolySeries(bases.legendre(), (-1, 1), random_kernel(100, 4))
-        oracle.conv_point_oracle(f, g, np.linspace(-2, 0, 2000))
-        assert threading.active_count() == before
+        before = None
+        for _ in range(3):    # the first run starts the shared pool's threads
+            _oracle_outputs("jacobi_2_1.5", *LARGE)
+            oracle.conv_point_oracle(f, g, np.linspace(-2, 0, 2000))
+            assert before in (None, threading.active_count())
+            before = threading.active_count()
         caller = threading.get_ident()
         names = {name for name, _ in calls}
         assert {"voltconv.series.clenshaw", "voltconv.bases.recurrence_abc",
                 "voltconv.oracle.conv_coeff_block", "voltconv.series.evaluate",
                 "voltconv.oracle.conv_point_oracle"} <= names
         assert {ident for _, ident in calls} == {caller}
-        assert caller not in workers and len(workers) >= 3
-        assert len(kernels - {caller}) >= 2
+        # the caller runs the last part of each split, a pool thread the rest
+        assert len(workers) >= 2 and len(kernels) >= 2
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_worker_error_reaches_the_caller(self, cpus, monkeypatch):
@@ -285,12 +287,14 @@ class TestThreadedRecurrences:
         monkeypatch.setattr(bases, "_cpu_count", lambda: cpus)
         f = PolySeries(bases.legendre(), (-1, 1), [1.0, 0.5])
         R = convmat.build(bases.legendre(), [1.0, 0.5], 10)
-        before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="step failed"):
-            oracle.conv_coeff_block(f, 10, extended=True)
-        with pytest.raises(FloatingPointError, match="step failed"):
-            oracle.sampled_value_errors(R, f, 5, 1)
-        assert threading.active_count() == before
+        before = None
+        for _ in range(2):    # the first run starts the shared pool's threads
+            with pytest.raises(FloatingPointError, match="step failed"):
+                oracle.conv_coeff_block(f, 10, extended=True)
+            with pytest.raises(FloatingPointError, match="step failed"):
+                oracle.sampled_value_errors(R, f, 5, 1)
+            assert before in (None, threading.active_count())
+            before = threading.active_count()
 
     def test_workers_see_the_callers_errstate(self, monkeypatch):
         monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
