@@ -607,10 +607,11 @@ def _column(R: ConvMatrix, n: int) -> np.ndarray:
 def apply(R: ConvMatrix, b) -> np.ndarray:
     """c = scale * (R b); touches only stored entries.
 
-    b may be shorter than N+1 (implicitly zero-padded), never longer.  From
-    _MIN_APPLY_BYTES of top and band up, R's row blocks (ConvMatrix.
-    _row_blocks) run one per CPU on the shared pool (bases._run_split); the
-    result has the same bits for any number of blocks.
+    b may be shorter than N+1 (implicitly zero-padded), never longer.  R's
+    row blocks (ConvMatrix._row_blocks), one per CPU but none with less
+    than _MIN_APPLY_BYTES of top and band, run on the caller and the shared
+    pool (bases._run_split); the result has the same bits for any number
+    of blocks.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 1:
@@ -632,7 +633,9 @@ def apply(R: ConvMatrix, b) -> np.ndarray:
 def _apply_rows(R: ConvMatrix, lo: int, view, x: np.ndarray, b: np.ndarray,
                 out: np.ndarray) -> None:
     """One row block of R b into out (unscaled), and rows 0..M with the
-    first block (lo = 0), from b and its padded copy x."""
+    first block (lo = 0), from b and x, b zero-padded to N+1 entries.  scipy
+    allocates the block's product, at most N+1 floats, on the running
+    thread."""
     start = R.M + 1 + lo
     out[start:start + view.shape[0]] = view @ x
     if lo == 0:

@@ -263,12 +263,16 @@ class TestThreadedRecurrences:
         # 2000 points x 102 nodes: both of its Clenshaw sums lie above the floor
         f = PolySeries(bases.legendre(), (-1, 1), random_kernel(100, 3))
         g = PolySeries(bases.legendre(), (-1, 1), random_kernel(100, 4))
-        before = None
-        for _ in range(3):    # the first run starts the shared pool's threads
+
+        def run():
             _oracle_outputs("jacobi_2_1.5", *LARGE)
             oracle.conv_point_oracle(f, g, np.linspace(-2, 0, 2000))
-            assert before in (None, threading.active_count())
-            before = threading.active_count()
+
+        run()                 # starts the shared pool's threads
+        before = threading.active_count()
+        for _ in range(2):
+            run()
+            assert threading.active_count() == before
         caller = threading.get_ident()
         names = {name for name, _ in calls}
         assert {"voltconv.series.clenshaw", "voltconv.bases.recurrence_abc",
@@ -287,14 +291,12 @@ class TestThreadedRecurrences:
         monkeypatch.setattr(bases, "_cpu_count", lambda: cpus)
         f = PolySeries(bases.legendre(), (-1, 1), [1.0, 0.5])
         R = convmat.build(bases.legendre(), [1.0, 0.5], 10)
-        before = None
-        for _ in range(2):    # the first run starts the shared pool's threads
-            with pytest.raises(FloatingPointError, match="step failed"):
-                oracle.conv_coeff_block(f, 10, extended=True)
-            with pytest.raises(FloatingPointError, match="step failed"):
-                oracle.sampled_value_errors(R, f, 5, 1)
-            assert before in (None, threading.active_count())
-            before = threading.active_count()
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="step failed"):
+            oracle.conv_coeff_block(f, 10, extended=True)
+        with pytest.raises(FloatingPointError, match="step failed"):
+            oracle.sampled_value_errors(R, f, 5, 1)
+        assert threading.active_count() == before
 
     def test_workers_see_the_callers_errstate(self, monkeypatch):
         monkeypatch.setattr(bases, "_cpu_count", lambda: 3)

@@ -181,12 +181,12 @@ class TestThreadedClenshaw:
         monkeypatch.setattr(series, "_clenshaw_rows", on_worker)
         monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
         y = _clenshaw_points("2-d", True, np.float64)
-        before = None
-        for _ in range(3):    # the first run starts the shared pool's threads
+        clenshaw(bases.legendre(), np.ones(200), y)   # starts the pool's threads
+        before = threading.active_count()
+        for _ in range(2):
             del threads[:]
             clenshaw(bases.legendre(), np.ones(200), y)
-            assert before in (None, threading.active_count())
-            before = threading.active_count()
+            assert threading.active_count() == before
             # the caller sums the last range, the pool's threads the others
             assert len(threads) == 3 and len(set(threads)) >= 2
             assert threads.count(threading.get_ident()) == 1
@@ -213,13 +213,13 @@ class TestThreadedClenshaw:
 
         monkeypatch.setattr(series, "_clenshaw_rows", fail)
         monkeypatch.setattr(bases, "_cpu_count", lambda: cpus)
-        before = None
-        for _ in range(2):    # the first run starts the shared pool's threads
+        y = _clenshaw_points("1-d", True, np.float64)
+        for run in range(3):
             with pytest.raises(FloatingPointError, match="kernel failed"):
-                clenshaw(bases.legendre(), [1.0, 0.5],
-                         _clenshaw_points("1-d", True, np.float64))
-            assert before in (None, threading.active_count())
-            before = threading.active_count()
+                clenshaw(bases.legendre(), [1.0, 0.5], y)
+            if run == 0:      # the first run starts the shared pool's threads
+                before = threading.active_count()
+            assert threading.active_count() == before
 
     def test_workers_see_the_callers_errstate(self, monkeypatch):
         monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
