@@ -51,14 +51,9 @@ WEIGHTED_LAGUERRE = "WeightedLaguerre"
 _KINDS = (CHEBYSHEV, LEGENDRE, GEGENBAUER, JACOBI, WEIGHTED_LAGUERRE)
 
 # The least grid, in bytes, that each thread of a split recurrence gets:
-# 32768 float64 or 16384 longdouble points.  A split costs a handoff of the
-# GIL at each ufunc call: four a term for a Legendre Clenshaw.  Split into
-# two ranges of this size on a 2-vCPU VM, with a pool started and joined
-# for each call (0.3-0.4 ms), that Clenshaw took 0.71 of the inline time in
-# longdouble with 101 terms and 0.92 with 11, and in float64 1.02 and 1.72
-# (medians of 41 interleaved runs); with ranges half this size, longdouble
-# took 0.69 and 1.15, float64 1.38 and 1.98.  The oracle's sums are
-# longdouble, where this floor pays.
+# 32768 float64 or 16384 longdouble points.  A split hands the GIL over at
+# each ufunc call, which pays at this size in longdouble, where the oracle
+# sums (timings in CHANGES.md).
 _MIN_RANGE_BYTES = 1 << 18
 
 # Degenerate-parameter guard: Jacobi's alpha + beta = -1 (the integration

@@ -44,8 +44,8 @@ import numpy as np
 
 from . import bases
 from .bases import BasisSpec
-from .errors import (ArgumentError, DegenerateParameterError, DimensionError,
-                     UnsupportedBasisError)
+from .errors import (ArgumentError, BasisParameterError, DegenerateParameterError,
+                     DimensionError, UnsupportedBasisError)
 from .series import indefinite_integral_cheb
 
 __all__ = [
@@ -57,12 +57,8 @@ __all__ = [
 _TINY = np.finfo(float).tiny
 
 # The least bytes of top and band that each of apply's row blocks gets;
-# below twice this, one block runs inline.  A split costs 0.1-0.2 ms of
-# handoffs between the caller and a pool thread.  With two blocks on a
-# 2-vCPU VM (one BLAS thread), apply took 1.24-1.50 of the inline time at
-# 2.1 MiB (M = 10, N = 8000), 0.98-1.04 at 3.1 MiB, 0.82-0.93 at 4.2 MiB,
-# 0.71 at 9.3 MiB (100, 4000) and 0.66 at 115 MiB (1000, 5000): medians
-# of 41 interleaved rounds, per call.
+# below twice this, one block runs inline: a split's handoffs cost more
+# than they save on smaller matrices (timings in CHANGES.md).
 _MIN_APPLY_BYTES = 1 << 21
 
 
@@ -238,6 +234,23 @@ def _tables(basis: BasisSpec, nmax: int) -> RecurrenceTables:
     raise UnsupportedBasisError(basis.kind)
 
 
+def _finite_tables(basis: BasisSpec, M: int, N: int, nmax: int) -> RecurrenceTables:
+    """_tables(basis, nmax), or BasisParameterError if an entry overflows.
+
+    The cumulative products behind shat overflow for large lambda or beta
+    (Gegenbauer(1000) at M = 10, N = 300); the build would then return
+    non-finite entries.  Finite tables do not prove a finite matrix.
+    """
+    with np.errstate(over="ignore"):
+        tables = _tables(basis, nmax)
+    for name in ("A", "B", "C", "shat"):
+        if not np.all(np.isfinite(getattr(tables, name))):
+            raise BasisParameterError(
+                f"{basis} at M={M}, N={N}: the recurrence table {name} overflows "
+                "float64")
+    return tables
+
+
 # ---------------------------------------------------------------------------
 # column 0
 
@@ -295,7 +308,7 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     M = a.size - 1
     W = max(N, M + 2)        # internal column count (symmetry mirrors need M+2)
     Wp = W + M + 1           # widest padded column touched by the region-C sweep
-    tables = _tables(basis, Wp + 1)
+    tables = _finite_tables(basis, M, N, Wp + 1)
     # shat_n = 0 for n >= 1 makes the column recursion homogeneous, so the
     # top rows vanish beyond the band (Legendre, Gegenbauer(1/2), Jacobi(a, 0))
     banded = not np.any(tables.shat[1:])
@@ -305,23 +318,24 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     # slow every pass over them (apply included); when eps^2 max|col0| > tiny
     # they are below eps^2 max|R|, and tiny kernels keep exact arithmetic
     flush = np.finfo(float).eps ** 2 * np.abs(col0).max() > _TINY
+    work = np.empty((2, Wp + 1))         # scratch rows, shared by the phases
     if flush:
-        _flush_subnormal(col0)
+        _flush_subnormal(col0, work[0])
     top = np.zeros((M + 1, N + 1))
     band = np.zeros((2 * M + 3, W + 1))  # rows >= M+1, |k-n| <= M+1, cols 0..W
     D = band[M + 1:]                     # D[d, c] = R_{c+d, c}: region A, col 0
-    ends = _region_a(tables, M, W, col0, D, flush)
+    ends = _region_a(tables, M, W, col0, D, flush, work[0])
 
     # region B: superdiagonal band by symmetry, then R's rows M+1 and M+2
     # over the padded columns, where region C starts
     pad = np.zeros((2, Wp + 1))
-    _fill_region_b(basis, M, W, Wp, band, pad, ends, flush)
+    _fill_region_b(basis, M, W, Wp, band, pad, ends, flush, work[0])
 
     # region C: dense top rows swept upward by the recast recursion.  The
     # sweep includes row 0 (the k = 1 step; Chebyshev's A_1 = 1 halves it):
     # reconstructing row 0 from the boundary sum instead would amplify band
     # roundoff by the boundary weights, ~n^(2 lam - 1) for Gegenbauer.
-    _sweep_region_c(tables, M, N, col0, D, pad, top, banded, flush)
+    _sweep_region_c(tables, M, N, col0, D, pad, top, banded, flush, work)
 
     # the recast forms are singular at n = 1 for Chebyshev, so column 1's
     # top entry comes from the boundary sum over its nonzero rows 1..M+2
@@ -329,14 +343,14 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
         wts = -bases.values_at_minus_one(basis, M + 2)
         top[0, 1] = math.fsum(wts[1:] * D[:, 1])
         if flush:
-            _flush_subnormal(top[0, 1:2])
+            _flush_subnormal(top[0, 1:2], work[0])
     for d in range(M + 1):               # region A's rows 0..M, which region
         D[d, :M + 1 - d] = 0.0           # C read from D, are in top only
     return ConvMatrix(basis, M, N, float(scale), top,
                       np.ascontiguousarray(band[:, :N + 1]))
 
 
-def _region_a(tables, M, W, col0, D, flush):
+def _region_a(tables, M, W, col0, D, flush, t):
     """Region A in place, D[d, c] = R_{c+d, c}; offset d is 0 past ends[d].
 
     Offset d's column step reads D[d, c-1] with the multiplier
@@ -345,7 +359,9 @@ def _region_a(tables, M, W, col0, D, flush):
     x_c = mu_c x_{c-1} + g_c, solved forward by LAPACK.  Past g's reach it
     decays, in chunks of 32 entries and then doubling, until one ends in a
     zero; ends[d] is then offset d's last nonzero column, where the next
-    offsets' reach and region B's mirror stop.
+    offsets' reach and region B's mirror stop.  g is summed in place on D's
+    row, one term at a time through the scratch row t (at least W - 1
+    entries), which also takes |x| for the flush.
     """
     from scipy.linalg.lapack import dtbtrs
     A, B, C, shat = tables.A, tables.B, tables.C, tables.shat
@@ -359,6 +375,7 @@ def _region_a(tables, M, W, col0, D, flush):
     D[:, 1] = ((B[k] - B[0]) * invA1) * c0[1:M + 3] + (A[k] * invA1) * c0[:M + 2] \
         + (C[k] * invA1) * c0[2:] + shat[0] * c0[1:M + 3]
     Ac = Ainv[2:W + 1]                    # 1 / A_c for c = 2..W at index c - 2
+    AcC = Ac / Cinv[:W - 1]               # C_{c-2} / A_c, the same for every d
     negAinv = -Ainv
     has_b = np.any(B)
     ab = np.ones((2, W - 1), order="F")   # unit diagonal, then -mu_{c+1}
@@ -368,19 +385,34 @@ def _region_a(tables, M, W, col0, D, flush):
         hi = min(W, max(ends[d + 1] + 1, ends[d + 2] + 2, M + 1 - d, 2))
         g = D[d, 2:hi + 1]
         n = hi - 1
-        # mu = 1 on the main diagonal, so no rounding of its g is ever damped:
-        # there g is formed in extended precision and rounded once
-        wide = np.longdouble if d == 0 else np.float64
-        acc = g.astype(wide, copy=False)
-        a_c = Ac[:n].astype(wide, copy=False)
-        if d <= M and has_b:
-            acc += ((B[d + 2:d + hi + 1] - B[1:hi]) * a_c) * D[d + 1, 1:hi]
-        if d < M:
-            acc += (a_c / Cinv[d + 2:d + hi + 1]) * D[d + 2, 1:hi]
-            c0s = col0[d + 2:]            # column 0 at rows c + d <= M+1
-            acc[:c0s.size] += shat[1:c0s.size + 1].astype(wide) * c0s
-            acc -= (a_c / Cinv[:n]) * D[d + 2, :hi - 1]    # C_{c-2} / A_c
-        g[...] = acc
+        if d == 0:
+            # mu = 1 on the main diagonal, so no rounding of its g is ever
+            # damped: there g is formed in extended precision, rounded once
+            acc = g.astype(np.longdouble)
+            a_c = Ac[:n].astype(np.longdouble)
+            if has_b:
+                acc += ((B[2:hi + 1] - B[1:hi]) * a_c) * D[1, 1:hi]
+            if M > 0:
+                acc += (a_c / Cinv[2:hi + 1]) * D[2, 1:hi]
+                acc[:M] += shat[1:M + 1].astype(np.longdouble) * col0[2:]
+                acc -= (a_c / Cinv[:n]) * D[2, :hi - 1]
+            g[...] = acc
+        else:                             # the same terms in the same order
+            u = t[:n]
+            if d <= M and has_b:
+                np.subtract(B[d + 2:d + hi + 1], B[1:hi], out=u)
+                u *= Ac[:n]
+                u *= D[d + 1, 1:hi]
+                g += u
+            if d < M:
+                np.divide(Ac[:n], Cinv[d + 2:d + hi + 1], out=u)
+                u *= D[d + 2, 1:hi]
+                g += u
+                m = M - d                 # column 0 at rows c + d <= M+1
+                np.multiply(shat[1:m + 1], col0[d + 2:], out=u[:m])
+                g[:m] += u[:m]
+                np.multiply(AcC[:n], D[d + 2, :hi - 1], out=u)
+                g -= u
         lo, step = 2, 32
         while True:
             x = D[d, lo:hi + 1]
@@ -390,7 +422,7 @@ def _region_a(tables, M, W, col0, D, flush):
             dtbtrs(ab[:, lo - 2:hi - 1], x[:, None], uplo="L", diag="U",
                    overwrite_b=1)         # in place: x is a contiguous row
             if flush:
-                _flush_subnormal(x)
+                _flush_subnormal(x, t)
             if hi == W or x[-1] == 0.0:
                 break
             lo, hi, step = hi + 1, min(W, hi + step), 2 * step
@@ -401,24 +433,34 @@ def _region_a(tables, M, W, col0, D, flush):
     return ends[:M + 2]
 
 
-def _flush_subnormal(x):
-    """Store the entries of x below finfo.tiny in magnitude as exact zeros."""
-    np.copyto(x, 0.0, where=np.abs(x) < _TINY)
+def _flush_subnormal(x, t):
+    """Store the entries of x below finfo.tiny in magnitude as exact zeros,
+    +0.0 for -0.0 too, with |x| in the scratch t (at least x.size entries).
+
+    x is written only when its least |x| is below tiny or NaN (a NaN row
+    keeps its NaNs), so a row with nothing to flush costs one pass.
+    """
+    absx = np.abs(x, out=t[:x.size])
+    if not (absx.min() >= _TINY):
+        np.copyto(x, 0.0, where=absx < _TINY)
 
 
-def _fill_region_b(basis, M, W, Wp, band, pad, ends, flush):
+def _fill_region_b(basis, M, W, Wp, band, pad, ends, flush, t):
     """Mirror the superdiagonal band, then fill pad with R's rows M+1, M+2.
 
-    Subdiagonal o is zero beyond column ends[o], and so is its mirror.
+    Subdiagonal o is zero beyond column ends[o], and so is its mirror.  The
+    ratios, then |mirror| for the flush, go to the scratch row t (at least
+    W - M - 1 entries).
     """
     ratio = _ratio_factors(basis, Wp)
     for o in range(1, M + 2):                  # superdiagonal offset n - k
         klo, khi = M + 1, min(W - o, ends[o])
         if khi >= klo:
             out = band[M + 1 - o, klo + o:khi + o + 1]
-            out[:] = ratio(klo, khi, o) * band[o + M + 1, klo:khi + 1]   # R_{k+o, k}
+            np.multiply(ratio(klo, khi, o, t[:khi + 1 - klo]),
+                        band[o + M + 1, klo:khi + 1], out=out)   # R_{k+o, k}
             if flush:
-                _flush_subnormal(out)
+                _flush_subnormal(out, t)
     for i, r in enumerate((M + 1, M + 2)):
         n = np.arange(r - M - 1, min(W, r + M + 1) + 1)
         pad[i, n] = band[r - n + M + 1, n]
@@ -428,25 +470,27 @@ def _fill_region_b(basis, M, W, Wp, band, pad, ends, flush):
 
 
 def _ratio_factors(basis, nmax):
-    """Closure giving R_{k,k+o} / R_{k+o,k} for k = klo..khi, k + o <= nmax.
+    """Closure giving R_{k,k+o} / R_{k+o,k} for k = klo..khi, k + o <= nmax,
+    into ``out`` (khi - klo + 1 entries) when given, else a new array.
 
-    Jacobi uses the cancellation-matched product form over one cumulative
-    product table; the raw Pochhammer quotient overflows for large indices.
+    The sign (-1)^o is taken by np.negative, which gives the bits of a
+    product with -1 at any point of the quotient.  Jacobi uses the
+    cancellation-matched product form over one cumulative product table; the
+    raw Pochhammer quotient overflows for large indices.
     """
     kfull = np.arange(nmax + 1, dtype=float)
     if basis.kind == bases.CHEBYSHEV:
-        def fac(klo, khi, o):
+        def fac(klo, khi, o, out=None):
             k = kfull[klo:khi + 1]
-            sgn = 1.0 if o % 2 == 0 else -1.0
-            return sgn * (k + o) / k
+            x = _signed(np.add(k, o, out=out), o)
+            return np.divide(x, k, out=x)
         return fac
     if basis.kind in (bases.LEGENDRE, bases.GEGENBAUER):
         lam = 0.5 if basis.kind == bases.LEGENDRE else basis.lam
         kl = kfull + lam
 
-        def fac(klo, khi, o):
-            sgn = 1.0 if o % 2 == 0 else -1.0
-            return sgn * kl[klo:khi + 1] / kl[klo + o:khi + o + 1]
+        def fac(klo, khi, o, out=None):
+            return _signed(np.divide(kl[klo:khi + 1], kl[klo + o:khi + o + 1], out=out), o)
         return fac
     al, be = basis.alpha, basis.beta
     ab = al + be
@@ -454,14 +498,21 @@ def _ratio_factors(basis, nmax):
     F = np.concatenate([[1.0], np.cumprod(f)])
     sig = ab + 2.0 * kfull + 1.0
 
-    def fac(klo, khi, o):
-        sgn = 1.0 if o % 2 == 0 else -1.0
-        prods = F[klo + o:khi + o + 1] / F[klo:khi + 1]
-        return sgn * sig[klo:khi + 1] / sig[klo + o:khi + o + 1] * prods
+    def fac(klo, khi, o, out=None):
+        out = _signed(np.divide(sig[klo:khi + 1], sig[klo + o:khi + o + 1], out=out), o)
+        out *= F[klo + o:khi + o + 1] / F[klo:khi + 1]
+        return out
     return fac
 
 
-def _sweep_region_c(tables, M, N, col0, D, pad, top, banded, flush):
+def _signed(x, o):
+    """x times (-1)^o, in place."""
+    if o % 2:
+        np.negative(x, out=x)
+    return x
+
+
+def _sweep_region_c(tables, M, N, col0, D, pad, top, banded, flush, work):
     """Rows M..0 of top by the recast step, for r = k-1 and n = nlo..nhi
       R_{r,n} = A_{n+1}/A_k (R_{k,n+1} - shat_n R_{k,0}) + (B_n - B_k)/A_k R_{k,n}
                 + C_{n-1}/A_k R_{k,n-1} - C_k/A_k R_{k+1,n},
@@ -469,10 +520,12 @@ def _sweep_region_c(tables, M, N, col0, D, pad, top, banded, flush):
     pad's two rows over the padded columns, first R's rows M+1 and M+2; row
     r overwrites row k+1, takes columns 0..r from region A (R_{r,c} =
     D[r-c, c]), is flushed and copied into top.  No step reads a row past
-    its nhi.  Column 1 of row 0 is left to the caller."""
+    its nhi.  The B term is skipped where B is all zeros (every basis but
+    Jacobi with alpha != beta).  work holds two scratch rows as wide as
+    pad.  Column 1 of row 0 is left to the caller."""
     A, B, C, shat = tables.A, tables.B, tables.C, tables.shat
+    has_b = np.any(B)
     rowk, rowk1 = pad
-    work = np.empty_like(pad)
     for k in range(M + 1, 0, -1):
         r = k - 1
         nlo = max(k, 2)
@@ -484,15 +537,16 @@ def _sweep_region_c(tables, M, N, col0, D, pad, top, banded, flush):
             np.multiply(shat[sl], col0[k], out=u)
             np.subtract(rowk[nlo + 1:nhi + 2], u, out=u)
             u *= np.multiply(A[nlo + 1:nhi + 2], invAk, out=v)
-            np.subtract(B[sl], B[k], out=v)
-            v *= invAk
-            u += np.multiply(v, rowk[sl], out=v)
+            if has_b:
+                np.subtract(B[sl], B[k], out=v)
+                v *= invAk
+                u += np.multiply(v, rowk[sl], out=v)
             np.multiply(C[nlo - 1:nhi], invAk, out=v)
             u += np.multiply(v, rowk[nlo - 1:nhi], out=v)
             np.subtract(u, np.multiply(rowk1[sl], invAk * C[k], out=v), out=rowk1[sl])
         rowk1[:r + 1] = D[r::-1].diagonal()
         if flush:
-            _flush_subnormal(rowk1[:nhi + 1])
+            _flush_subnormal(rowk1[:nhi + 1], work[0])
         top[r, :min(N, nhi) + 1] = rowk1[:min(N, nhi) + 1]
         rowk, rowk1 = rowk1, rowk
 

@@ -88,8 +88,8 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
     proj = quadrature.cached_gauss_jacobi(al, be, J, extended=extended)
     y, W = proj.x, proj.w
     # sqrt(W) goes into both factors, so that the norms are the column sums
-    # of V * V.  np.dot on a contiguous V^T: in longdouble, numpy's matmul
-    # loop and np.dot on the strided view take two to three times as long.
+    # of V * V.  np.dot on a contiguous V^T is numpy's fastest longdouble
+    # product (timings in CHANGES.md).
     root_w = np.sqrt(W)[:, None]
     WH = _h_values(f, y, q, N).T               # (J, N+1)
     WH *= root_w

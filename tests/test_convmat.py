@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from voltconv import bases, convmat, laguerre, oracle, volterra
-from voltconv.errors import (ArgumentError, DegenerateParameterError,
-                             DimensionError)
+from voltconv.errors import (ArgumentError, BasisParameterError,
+                             DegenerateParameterError, DimensionError)
 from voltconv.prng import random_kernel
 from voltconv.series import PolySeries, indefinite_integral_cheb
 
@@ -102,6 +102,24 @@ class TestTables:
         with pytest.raises(DegenerateParameterError):
             convmat.jacobi_tables(-0.3, -0.7, 4)
 
+    @pytest.mark.parametrize("basis, M, N", [
+        (bases.gegenbauer(1000.0), 10, 300), (bases.gegenbauer(600.0), 10, 300),
+        (bases.gegenbauer(300.0), 100, 400), (bases.jacobi(0.0, 1000.0), 10, 300)],
+        ids=lambda v: v.label() if isinstance(v, bases.BasisSpec) else str(v))
+    def test_overflowing_tables_rejected(self, basis, M, N):
+        # shat's cumulative products overflow: the build refuses by name
+        # before any pass over the matrix, and the overflow's RuntimeWarning,
+        # an error under this suite's filter, does not escape
+        with pytest.raises(BasisParameterError, match=f"M={M}, N={N}: .* shat overflows"):
+            convmat.build(basis, random_kernel(M, 3), N)
+
+    @pytest.mark.parametrize("basis", [bases.gegenbauer(200.0), bases.jacobi(0.0, 400.0)],
+                             ids=lambda b: b.label())
+    def test_large_finite_tables_build(self, basis):
+        # max|R| is about 1e247 and 1e237 here, and still finite
+        R = convmat.build(basis, random_kernel(100, 3), 400)
+        assert np.all(np.isfinite(R.top)) and np.all(np.isfinite(R.band))
+
 
 class TestSymmetryRatio:
     def test_diagonal(self):
@@ -133,6 +151,69 @@ class TestSymmetryRatio:
         assert got == pytest.approx(quotient(3, 6), rel=1e-13)
         got = convmat.symmetry_ratio(bases.jacobi(al, be), 6, 3)
         assert got == pytest.approx(1.0 / quotient(3, 6), rel=1e-13)
+
+
+class TestRatioFactors:
+    @staticmethod
+    def sgn_quotient(basis, nmax, klo, khi, o):
+        """R_{k,k+o} / R_{k+o,k} as (+-1) times the quotient, the sign first."""
+        kfull = np.arange(nmax + 1, dtype=float)
+        sgn = 1.0 if o % 2 == 0 else -1.0
+        if basis.kind == bases.CHEBYSHEV:
+            k = kfull[klo:khi + 1]
+            return sgn * (k + o) / k
+        if basis.kind in (bases.LEGENDRE, bases.GEGENBAUER):
+            kl = kfull + (0.5 if basis.kind == bases.LEGENDRE else basis.lam)
+            return sgn * kl[klo:khi + 1] / kl[klo + o:khi + o + 1]
+        ab = basis.alpha + basis.beta
+        f = (kfull + basis.alpha + 1.0) * (kfull + basis.beta + 1.0) / (kfull + ab + 1.0) ** 2
+        F = np.concatenate([[1.0], np.cumprod(f)])
+        sig = ab + 2.0 * kfull + 1.0
+        prods = F[klo + o:khi + o + 1] / F[klo:khi + 1]
+        return sgn * sig[klo:khi + 1] / sig[klo + o:khi + o + 1] * prods
+
+    @pytest.mark.parametrize("basis", [bases.chebyshev(), bases.legendre(),
+                                       bases.gegenbauer(2.0), bases.jacobi(2.0, 1.5),
+                                       bases.jacobi(-0.5, 0.3)], ids=lambda b: b.label())
+    @pytest.mark.parametrize("o", [1, 2, 7, 40])
+    def test_bits_with_and_without_a_buffer(self, basis, o):
+        nmax = 300
+        ratio = convmat._ratio_factors(basis, nmax)
+        for klo, khi in ((1, nmax - o), (11, 11), (150, 260 - o)):
+            want = self.sgn_quotient(basis, nmax, klo, khi, o)
+            buf = np.full(khi - klo + 1, np.nan)
+            for got in (ratio(klo, khi, o), ratio(klo, khi, o, buf)):
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            assert ratio(klo, khi, o, buf) is buf
+            assert np.all(np.signbit(want) == (o % 2 == 1))
+
+
+class TestFlushSubnormal:
+    @staticmethod
+    def flushed(x):
+        out = x.copy()
+        np.copyto(out, 0.0, where=np.abs(out) < TINY)
+        return out
+
+    def test_nothing_below_tiny_is_not_written(self):
+        x = np.array([1.0, -TINY, TINY, -3e300, np.inf, -np.inf])
+        x.setflags(write=False)
+        convmat._flush_subnormal(x, np.empty(8))    # a write would raise
+        np.testing.assert_array_equal(x, [1.0, -TINY, TINY, -3e300, np.inf, -np.inf])
+
+    @pytest.mark.parametrize("row", [
+        [1.0, TINY / 4, -TINY / 4, -2.0, 5e-324, -5e-324],
+        [-0.0, 1.0, 0.0, -0.0],
+        [np.nan, 1.0, -TINY / 2, -0.0, TINY],
+        [np.nan, 2.0, -3.0]], ids=["subnormals", "signed zeros", "nan", "nan only"])
+    def test_matches_the_masked_copy(self, row):
+        # subnormals of either sign and -0.0 become +0.0; NaN is kept
+        x = np.array(row)
+        want = self.flushed(x)
+        convmat._flush_subnormal(x, np.full(x.size + 3, np.nan))
+        np.testing.assert_array_equal(x.view(np.int64), want.view(np.int64))
+        small = np.abs(np.array(row)) < TINY
+        assert np.all(x[small] == 0.0) and not np.any(np.signbit(x[small]))
 
 
 class TestStructure:
@@ -231,13 +312,20 @@ class TestBasisCoincidences:
         assert np.max(np.abs(DL - DJ)) < 1e-14
 
 
+# conftest's finite bases, and Jacobi(1.5, 1.5): all-zero B with a dense top
+ORACLE_BASES = {"chebyshev": bases.chebyshev(), "legendre": bases.legendre(),
+                "gegenbauer": bases.gegenbauer(2.0), "jacobi": bases.jacobi(2.0, 1.5),
+                "jacobi_1.5_1.5": bases.jacobi(1.5, 1.5)}
+
+
 class TestOracleAgreement:
-    def test_small_scale(self, finite_basis):
+    @pytest.mark.parametrize("basis", list(ORACLE_BASES.values()), ids=list(ORACLE_BASES))
+    def test_small_scale(self, basis):
         rng = np.random.default_rng(8)
         a = rng.uniform(-1, 1, 11)
         N = 50
-        R = convmat.build(finite_basis, a, N)
-        cols = oracle.conv_coeff_block(PolySeries(finite_basis, (-1, 1), a), N,
+        R = convmat.build(basis, a, N)
+        cols = oracle.conv_coeff_block(PolySeries(basis, (-1, 1), a), N,
                                        extended=True)
         rep = oracle.compare_entrywise(R, cols)
         assert rep.max_abs < 1e-13
