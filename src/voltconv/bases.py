@@ -242,18 +242,6 @@ def _scaled_values(tables, x2: np.ndarray, n: int) -> Iterator[np.ndarray]:
         yield q
 
 
-def forward(basis: BasisSpec, x: np.ndarray, n: int) -> Iterator[np.ndarray]:
-    """Yield p_0(x), ..., p_n(x) by forward recurrence, in x's dtype.
-
-    Float64 or longdouble (other inputs are promoted to float64); no
-    Laguerre weight.  Each yielded array is new, so callers may keep it.
-    """
-    x = _float_array(x)
-    tables = _step_tables(basis, n, x.dtype.type)
-    for k, q in enumerate(_scaled_values(tables, x + x, n)):
-        yield np.multiply(q, tables[0][k], out=np.empty_like(q))
-
-
 def poly_vandermonde(basis: BasisSpec, x: np.ndarray, degree: int) -> np.ndarray:
     """Matrix V with V[..., k] = p_k(x), k = 0..degree, in x's dtype."""
     x = _float_array(x)

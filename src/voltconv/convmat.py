@@ -20,9 +20,9 @@ diagonal / row:
                   comes from the endpoint boundary sum (the recast forms are
                   singular at n = 1 for Chebyshev)
 
-Regions A and C read one RecurrenceTables per basis, with no per-basis
-branch.  Entries below finfo.tiny are stored as exact zeros (see build),
-and region A stops each offset at its last nonzero entry.
+Column 0 and regions A and C read one RecurrenceTables per basis, with no
+per-basis branch.  Entries below finfo.tiny are stored as exact zeros (see
+build), and region A stops each offset at its last nonzero entry.
 Every reader of the packed storage lives in this module; apply() reads the
 band through zero-copy scipy.sparse DIA views of its row blocks
 (ConvMatrix._row_blocks), one per CPU on bases' shared worker pool above
@@ -38,7 +38,6 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from . import bases
 from .bases import BasisSpec
 from .errors import (ArgumentError, BasisParameterError, DegenerateParameterError,
                      DimensionError, UnsupportedBasisError)
-from .series import indefinite_integral_cheb
 
 __all__ = [
     "ConvMatrix", "RecurrenceTables", "build_chebyshev", "build_legendre",
@@ -140,7 +138,8 @@ class ConvMatrix:
 
 @dataclass(frozen=True)
 class RecurrenceTables:
-    """Coefficient arrays of the integration recurrence behind a build.
+    """Coefficient arrays of the integration recurrence behind a build:
+    column 0 (the kernel's antiderivative), region A and region C read them.
 
     A[j] holds A_j for j >= 1 (A[0] is padding), B[j] and C[j] are valid
     from j = 0, shat[n] from n = 0.  shat[n] is the coefficient of R_{k,0}
@@ -176,12 +175,6 @@ def jacobi_tables(alpha: float, beta: float, nmax: int) -> RecurrenceTables:
     bases.jacobi(alpha, beta)  # remaining parameter validation
     if nmax < 0:
         raise ArgumentError("nmax must be >= 0")
-    for name, vals in (("A", ab + 2.0 * np.arange(1, nmax + 2) - 1.0),
-                       ("S", ab + np.arange(1, nmax + 1))):
-        bad = np.abs(vals) < bases.DEGENERATE_TOL
-        if np.any(bad):
-            raise DegenerateParameterError(
-                f"zero denominator in {name} table for alpha+beta={ab}")
     j = np.arange(nmax + 2, dtype=float)
     A = np.zeros(nmax + 2)
     A[1:] = 2.0 * (ab + j[1:]) / ((ab + 2.0 * j[1:] - 1.0) * (ab + 2.0 * j[1:]))
@@ -254,20 +247,17 @@ def _finite_tables(basis: BasisSpec, M: int, N: int, nmax: int) -> RecurrenceTab
 # ---------------------------------------------------------------------------
 # column 0
 
-def _column0(basis: BasisSpec, a: np.ndarray,
-             tables: Optional[RecurrenceTables]) -> np.ndarray:
-    """Rows 0..M+1 of column 0: coefficients of the kernel's antiderivative."""
-    if basis.kind == bases.CHEBYSHEV:
-        return indefinite_integral_cheb(a)
+def _column0(basis: BasisSpec, a: np.ndarray, tables: RecurrenceTables) -> np.ndarray:
+    """Rows 0..M+1 of column 0: coefficients of the kernel's antiderivative,
+    A_k a_{k-1} + B_k a_k + C_k a_{k+1} for k >= 1, with A_k and C_k applied
+    as divisions by Ainv_k and Cinv_k."""
     M = a.size - 1
     col = np.zeros(M + 2)
     ap = np.concatenate([a, [0.0, 0.0]])
-    k = np.arange(1, M + 2)
-    if basis.kind == bases.GEGENBAUER or basis.kind == bases.LEGENDRE:
-        lam = 0.5 if basis.kind == bases.LEGENDRE else basis.lam
-        col[1:] = ap[k - 1] / (2.0 * (k + lam - 1.0)) - ap[k + 1] / (2.0 * (k + lam + 1.0))
-    else:  # Jacobi
-        col[1:] = tables.A[k] * ap[k - 1] + tables.B[k] * ap[k] + tables.C[k] * ap[k + 1]
+    k = slice(1, M + 2)
+    col[1:] = ap[:M + 1] / tables.Ainv[k] + ap[2:] / tables.Cinv[k]
+    if np.any(tables.B):
+        col[1:] += tables.B[k] * ap[1:M + 2]
     w = -bases.values_at_minus_one(basis, M + 1)   # sum_k col[k] p_k(-1) = 0
     col[0] = math.fsum(w[1:] * col[1:])
     return col
@@ -595,7 +585,7 @@ def build_chebyshev_naive(a, N: int) -> np.ndarray:
     a, N = _kernel_and_size(a, N)
     M = a.size - 1
     R = np.zeros((M + N + 2, N + 1))
-    col0 = _column0(bases.chebyshev(), a, None)
+    col0 = _column0(bases.chebyshev(), a, _chebyshev_tables(M + 1))
     R[:M + 2, 0] = col0
     wts = -bases.values_at_minus_one(bases.chebyshev(), M + N + 2)
     for c in range(1, N + 1):

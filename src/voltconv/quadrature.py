@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import pairwise
 from typing import Tuple
 
 import numpy as np
@@ -56,25 +57,34 @@ def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return eigvalsh_tridiagonal(diag.astype(float), off.astype(float))
 
 
+def _finite(f, x: np.ndarray, failure: str) -> np.ndarray:
+    """f(x), computed quietly; ConvergenceError(failure) unless all finite."""
+    # quietly: a node on +-1 divides by 1 - x*x = 0, and a recurrence may
+    # overflow
+    with np.errstate(all="ignore"):
+        y = f(x)
+    if not np.isfinite(y).all():
+        raise ConvergenceError(failure)
+    return y
+
+
 def _polish(step, x: np.ndarray, failure: str) -> np.ndarray:
     """Three Newton steps x -= step(x); a non-finite step raises at once."""
     for _ in range(3):
-        # quietly: a node on +-1 divides by 1 - x*x = 0
-        with np.errstate(all="ignore"):
-            dx = step(x)
-        if not np.isfinite(dx).all():
-            raise ConvergenceError(failure)
-        x = x - dx
+        x = x - _finite(step, x, failure)
     return x
+
+
+def _last_two(tables, x: np.ndarray, n: int):
+    """(q_{n-1}, q_n) at x from bases._scaled_values, n >= 1."""
+    *_, last = pairwise(bases._scaled_values(tables, x + x, n))
+    return last
 
 
 def _newton_step(tables, alpha: float, beta: float, x: np.ndarray, n: int):
     """(p_n / p_n', p_n') at x, in x's dtype, from one forward recurrence on
     the scaled tables, unscaled once at the end."""
-    x2 = x + x
-    q, qm1, tmp = np.ones_like(x), np.zeros_like(x), np.empty_like(x)
-    for k in range(n):
-        q, qm1 = bases._recurrence_step(tables, k, x2, q, qm1, qm1, tmp), q
+    qm1, q = _last_two(tables, x, n)
     p, pm1 = tables[0][n] * q, tables[0][n - 1] * qm1
     dt = x.dtype.type
     a, b = dt(alpha), dt(beta)
@@ -102,14 +112,10 @@ def _norm_const(alpha: float, beta: float, n: int):
     return mass * (a + b + LD(n) + 1) * ratio
 
 
-def _gauss_chebyshev(n: int, extended: bool) -> QuadRule:
-    if extended:
-        i = np.arange(n - 1, -1, -1).astype(LD)
-        x = np.cos((2 * i + 1) * PI_LD / (2 * LD(n)))
-        w = np.full(n, PI_LD / LD(n))
-        return QuadRule(x, w)
-    theta = (2.0 * np.arange(n - 1, -1, -1) + 1.0) * np.pi / (2.0 * n)
-    return QuadRule(np.cos(theta), np.full(n, np.pi / n))
+def _gauss_chebyshev(n: int, dtype) -> QuadRule:
+    """The closed-form rule, computed in dtype (float64 or longdouble)."""
+    pi, i = dtype(PI_LD), np.arange(n - 1, -1, -1).astype(dtype)
+    return QuadRule(np.cos((2 * i + 1) * pi / (2 * dtype(n))), np.full(n, pi / dtype(n)))
 
 
 def gauss_jacobi(alpha: float, beta: float, n: int,
@@ -126,7 +132,7 @@ def gauss_jacobi(alpha: float, beta: float, n: int,
     if extended:
         require_extended()
     if alpha == beta == -0.5:
-        return _gauss_chebyshev(n, extended)
+        return _gauss_chebyshev(n, LD if extended else np.float64)
     A, B, C = bases._jacobi_abc(alpha, beta, np.arange(n), LD)
     tables = bases._scaled_tables(A, B, C)
     x = _tridiagonal_eigenvalues(-B / A, np.sqrt(-C[1:] / (A[:-1] * A[1:])))
@@ -159,38 +165,26 @@ def cached_gauss_jacobi(alpha: float, beta: float, n: int,
 def gauss_laguerre(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n-point Gauss-Laguerre rule for weight e^{-x} on [0, inf).
 
-    Returns (x, w, w_exp) with w_exp = w * e^x, computed through the scaled
-    functions e^{-x/2} L_k(x) so neither factor overflows at large nodes.
+    Returns (x, w, w_exp) with w_exp = w * e^x, assembled in the log domain.
+    The Laguerre recurrence runs unscaled in longdouble, where |L_n| at the
+    largest node overflows from about n = 5700 with an 80-bit longdouble
+    (far sooner where longdouble is double); the rule then raises
+    ConvergenceError naming n.
     """
     if n < 1:
         raise ArgumentError("need at least one quadrature node")
-
-    def pair(z, upto):
-        # renormalized plain recurrence: (L_upto, L_{upto-1}) * 2^(-e2);
-        # Newton steps only use the ratio, weights re-attach the exponent
-        lm1, l, e2 = np.ones_like(z), 1 - z, np.zeros_like(z)
-        for k in range(1, upto):
-            l, lm1 = ((2 * k + 1 - z) * l - k * lm1) / (k + 1), l
-            if k % 64 == 0:
-                mag = np.abs(l)
-                scale = np.where(mag > 2.0**500, 2.0**-500,
-                                 np.where((mag > 0) & (mag < 2.0**-500), 2.0**500, 1.0))
-                l = l * scale
-                lm1 = lm1 * scale
-                e2 = e2 - np.log2(scale)
-        return l, lm1, e2
+    tables = bases._step_tables(bases.weighted_laguerre(), n + 1, LD)
+    failure = f"Gauss-Laguerre recurrence is not finite for n={n}"
 
     def step(z):
-        l, lm1, _ = pair(z, n)
-        return l * z / (n * (l - lm1))
+        lm1, l = _last_two(tables, z, n)
+        return l * z / (n * (l - lm1))      # L_n / L_n', as x L_n' = n (L_n - L_{n-1})
 
     k = np.arange(n, dtype=float)
-    xe = _polish(step, _tridiagonal_eigenvalues(2 * k + 1, k[1:]).astype(LD),
-                 f"Gauss-Laguerre Newton step is not finite for n={n}")
-    l, _, e2 = pair(xe, n + 1)
-    # w_exp = x / ((n+1) e^{-x/2} L_{n+1})^2, assembled in the log domain
-    ln_wexp = (np.log(xe) - 2.0 * (np.log(np.abs(l)) + e2 * np.log(LD(2.0))
-                                   + np.log(LD(n + 1)) - xe / 2))
+    xe = _polish(step, _tridiagonal_eigenvalues(2 * k + 1, k[1:]).astype(LD), failure)
+    l = _finite(lambda z: _last_two(tables, z, n + 1)[1], xe, failure)
+    # w_exp = x / ((n+1) e^{-x/2} L_{n+1})^2
+    ln_wexp = np.log(xe) - 2.0 * (np.log(np.abs(l)) + np.log(LD(n + 1)) - xe / 2)
     w_exp = np.exp(ln_wexp).astype(float)
     x = xe.astype(float)
     w = w_exp * np.exp(-x)

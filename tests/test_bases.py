@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import mpmath
@@ -99,19 +100,33 @@ class TestRecurrenceEngine:
         assert np.all(np.abs(got - V @ c.astype(dtype)) <= tol)
 
 
-def test_forward_yields_degrees_zero_to_n():
-    x = np.linspace(-1.0, 1.0, 5)
-    vals = list(bases.forward(bases.legendre(), x, 3))
-    assert len(vals) == 4
-    np.testing.assert_array_equal(np.stack(vals, axis=-1),
-                                  bases.poly_vandermonde(bases.legendre(), x, 3))
-    assert len(list(bases.forward(bases.legendre(), x, 0))) == 1
+def _spec(kind, **params):
+    return lambda: bases.BasisSpec(kind, **params)
 
 
-@pytest.mark.parametrize("lam", [1e-16, -1e-13, 1e-300])
-def test_near_zero_gegenbauer_lambda_rejected(lam):
-    with pytest.raises(BasisParameterError):
-        bases.gegenbauer(lam)
+@pytest.mark.parametrize("make, match", [
+    pytest.param(lambda: bases.gegenbauer(1e-16), "lambda > -1/2", id="1e-16"),
+    pytest.param(lambda: bases.gegenbauer(-1e-13), "lambda > -1/2", id="-1e-13"),
+    pytest.param(lambda: bases.gegenbauer(1e-300), "lambda > -1/2", id="1e-300"),
+    pytest.param(lambda: bases.gegenbauer(-0.5), "lambda > -1/2", id="lambda-minus-half"),
+    pytest.param(lambda: bases.gegenbauer(math.nan), "lambda > -1/2", id="lambda-nan"),
+    pytest.param(_spec("Hermite"), "unknown basis kind", id="unknown-kind"),
+    pytest.param(_spec(bases.GEGENBAUER), "needs lambda", id="no-lambda"),
+    pytest.param(_spec(bases.LEGENDRE, lam=0.5), "only valid for Gegenbauer",
+                 id="lambda-on-legendre"),
+    pytest.param(_spec(bases.JACOBI, alpha=0.0), "needs alpha and beta", id="no-beta"),
+    pytest.param(_spec(bases.JACOBI, beta=0.0), "needs alpha and beta", id="no-alpha"),
+    pytest.param(lambda: bases.jacobi(-1.0, 0.0), "alpha, beta > -1", id="alpha-minus-one"),
+    pytest.param(lambda: bases.jacobi(0.0, -1.5), "alpha, beta > -1", id="beta-below-minus-one"),
+    pytest.param(lambda: bases.jacobi(math.nan, 0.0), "alpha, beta > -1", id="alpha-nan"),
+    pytest.param(lambda: bases.jacobi(-0.3, -0.7), "degenerate", id="alpha-plus-beta-minus-one"),
+    pytest.param(_spec(bases.CHEBYSHEV, alpha=1.0, beta=1.0), "only valid for Jacobi",
+                 id="alpha-beta-on-chebyshev"),
+])
+def test_near_zero_gegenbauer_lambda_rejected(make, match):
+    """Near-zero lambda, and every other parameter BasisSpec refuses."""
+    with pytest.raises(BasisParameterError, match=match):
+        make()
 
 
 def unscaled_vandermonde(basis, x, degree):
@@ -169,7 +184,6 @@ def test_unscaled_bits_where_the_scales_are_exact(name, degree, dtype):
     got = bases.poly_vandermonde(basis, x, degree)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert np.array_equal(np.stack(list(bases.forward(basis, x, degree)), axis=-1), want)
 
 
 def _mp(v):

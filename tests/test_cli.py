@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from voltconv import quadrature
+from voltconv import bases, convmat, laguerre, quadrature
 from voltconv.cli import run
 from voltconv.prng import SplitMix64, random_kernel
-from voltconv.series import evaluate, series_from_json
+from voltconv.series import PolySeries, evaluate, series_from_json, series_to_csv
 
 
 @pytest.fixture()
@@ -78,6 +78,40 @@ class TestSubcommands:
         np.testing.assert_allclose(rows, [[1, -0.25, -1 / 3], [1, 0, -0.5],
                                           [0, 0.25, 0], [0, 0, 1 / 6]], atol=1e-15)
 
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_build_matches_the_library(self, tmp_path, suffix):
+        # a Legendre series on [0, 2] read from CSV (scale 1), and a weighted
+        # Laguerre series on the half line
+        a = random_kernel(4, 2)
+        if suffix == ".csv":
+            f = PolySeries(bases.legendre(), (0.0, 2.0), a)
+            src = series_to_csv(f)
+            want = convmat.to_dense(convmat.build(f.basis, a, 6))
+        else:
+            src = json.dumps({"basis": {"kind": "WeightedLaguerre"},
+                              "domain": [0, None], "coeffs": list(a)})
+            want = laguerre.to_dense_laguerre(laguerre.build_laguerre(a, 6))
+        infile = tmp_path / f"kernel{suffix}"
+        infile.write_text(src)
+        out = tmp_path / "R.csv"
+        assert run(["build", "--in", str(infile), "-N", "6", "--out", str(out)]) == 0
+        got = np.loadtxt(out, delimiter=",", ndmin=2)
+        np.testing.assert_array_equal(got, want)
+
+    def test_verify_sampled_report(self, tmp_path, capsys):
+        # M + N > oracle.COEFF_ORACLE_CAP: the pointwise (sampled) report
+        out = tmp_path / "rep.csv"
+        assert run(["verify", "--basis", "chebyshev", "-M", "1", "-N", "600",
+                    "--seed", "1", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert float(err.split()[1]) <= 1e-13
+        lines = out.read_text().strip().splitlines()
+        assert "sample,column,abs_error" in lines
+        rows = lines[lines.index("sample,column,abs_error") + 1:-1]
+        assert len(rows) == 500
+        assert all(0 <= int(row.split(",")[1]) <= 600 for row in rows)
+        assert lines[-1] == f"max_abs,{float(err.split()[1]):.17g}"
+
     def test_verify_report(self, tmp_path, capsys):
         out = tmp_path / "rep.csv"
         assert run(["verify", "--basis", "chebyshev", "-M", "10", "-N", "50",
@@ -124,6 +158,8 @@ class TestSubcommands:
     def test_exit_codes(self, tmp_path, one_json, capsys):
         assert run(["build", "--basis", "nosuch", "--in", one_json,
                     "-N", "2", "--out", str(tmp_path / "x.csv")]) == 2
+        assert run(["verify", "--basis", "gegenbauer", "-M", "1", "-N", "2"]) == 2
+        assert "--basis gegenbauer needs --lambda" in capsys.readouterr().err
         assert run(["solve", "--kernel", str(tmp_path / "missing.json"),
                     "--rhs", one_json, "-N", "2",
                     "--out", str(tmp_path / "u.json")]) == 3

@@ -34,6 +34,15 @@ class TestColumnZero:
         np.testing.assert_allclose(
             convmat.to_dense(convmat.build_chebyshev([1.0], 0))[:, 0], [1, 1], atol=0)
 
+    def test_coinciding_bases_share_bits(self):
+        # Legendre = Gegenbauer(1/2) = Jacobi(0, 0): their tables' Ainv and
+        # Cinv are the same exact integers
+        a = np.random.default_rng(3).uniform(-1, 1, 41)
+        cols = [convmat.to_dense(convmat.build(basis, a, 0))[:, 0]
+                for basis in (bases.legendre(), bases.gegenbauer(0.5), bases.jacobi(0.0, 0.0))]
+        for col in cols[1:]:
+            assert np.array_equal(col.view(np.int64), cols[0].view(np.int64))
+
     def test_empty_raises(self):
         with pytest.raises(ArgumentError):
             convmat.build_chebyshev([], 0)

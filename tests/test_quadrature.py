@@ -107,6 +107,14 @@ class TestGaussLaguerre:
         x, w, wexp = quadrature.gauss_laguerre(24)
         np.testing.assert_allclose(wexp * np.exp(-x), w, rtol=1e-13)
 
+    def test_overflowing_rule_refused_quietly(self):
+        # |L_n| at the largest node overflows an 80-bit longdouble from
+        # n = 5706, and sooner where longdouble is double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="n=6000"):
+                quadrature.gauss_laguerre(6000)
+
 
 def exactness(a, b, x, w):
     """max over j = 1..2n-1, j != n, of |sum w p_j(x)| / sum w |p_j(x)|, in x's dtype.
