@@ -250,12 +250,14 @@ def _finite_tables(basis: BasisSpec, M: int, N: int, nmax: int) -> RecurrenceTab
 def _column0(basis: BasisSpec, a: np.ndarray, tables: RecurrenceTables) -> np.ndarray:
     """Rows 0..M+1 of column 0: coefficients of the kernel's antiderivative,
     A_k a_{k-1} + B_k a_k + C_k a_{k+1} for k >= 1, with A_k and C_k applied
-    as divisions by Ainv_k and Cinv_k."""
+    as divisions by Ainv_k and Cinv_k, or as one division where
+    Cinv_k = -Ainv_k (Chebyshev from k = 2), which saves a rounding."""
     M = a.size - 1
     col = np.zeros(M + 2)
     ap = np.concatenate([a, [0.0, 0.0]])
     k = slice(1, M + 2)
-    col[1:] = ap[:M + 1] / tables.Ainv[k] + ap[2:] / tables.Cinv[k]
+    lo, hi, Ainv, Cinv = ap[:M + 1], ap[2:], tables.Ainv[k], tables.Cinv[k]
+    col[1:] = np.where(Cinv == -Ainv, (lo - hi) / Ainv, lo / Ainv + hi / Cinv)
     if np.any(tables.B):
         col[1:] += tables.B[k] * ap[1:M + 2]
     w = -bases.values_at_minus_one(basis, M + 1)   # sum_k col[k] p_k(-1) = 0

@@ -57,34 +57,40 @@ def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return eigvalsh_tridiagonal(diag.astype(float), off.astype(float))
 
 
-def _finite(f, x: np.ndarray, failure: str) -> np.ndarray:
-    """f(x), computed quietly; ConvergenceError(failure) unless all finite."""
-    # quietly: a node on +-1 divides by 1 - x*x = 0, and a recurrence may
-    # overflow
-    with np.errstate(all="ignore"):
-        y = f(x)
-    if not np.isfinite(y).all():
-        raise ConvergenceError(failure)
-    return y
-
-
 def _polish(step, x: np.ndarray, failure: str) -> np.ndarray:
     """Three Newton steps x -= step(x); a non-finite step raises at once."""
     for _ in range(3):
-        x = x - _finite(step, x, failure)
+        # quietly: a node on +-1 divides by 1 - x*x = 0
+        with np.errstate(all="ignore"):
+            dx = step(x)
+        if not np.isfinite(dx).all():
+            raise ConvergenceError(failure)
+        x = x - dx
     return x
 
 
-def _last_two(tables, x: np.ndarray, n: int):
-    """(q_{n-1}, q_n) at x from bases._scaled_values, n >= 1."""
-    *_, last = pairwise(bases._scaled_values(tables, x + x, n))
-    return last
+def _rescaled_last_two(tables, x: np.ndarray, n: int):
+    """(q_{n-1}, q_n, e) at x, n >= 1: bases._scaled_values' last pair times 2^-e.
+
+    Every 64 degrees the pair (the recurrence's whole state) is scaled in
+    place by the power of two that brings its larger entry below 1, so it
+    cannot overflow, even in float64; exactly, so its bits are the unscaled
+    run's times 2^-e wherever that run stays finite and normal."""
+    e = np.zeros(x.shape, dtype=np.int64)
+    for k, (qm1, q) in enumerate(pairwise(bases._scaled_values(tables, x + x, n)), 1):
+        if k % 64 == 0:
+            f = np.frexp(np.maximum(np.abs(qm1), np.abs(q)))[1]
+            scale = np.ldexp(x.dtype.type(1), -f)
+            np.multiply(qm1, scale, out=qm1)
+            np.multiply(q, scale, out=q)
+            e += f
+    return qm1, q, e
 
 
 def _newton_step(tables, alpha: float, beta: float, x: np.ndarray, n: int):
     """(p_n / p_n', p_n') at x, in x's dtype, from one forward recurrence on
     the scaled tables, unscaled once at the end."""
-    qm1, q = _last_two(tables, x, n)
+    *_, (qm1, q) = pairwise(bases._scaled_values(tables, x + x, n))
     p, pm1 = tables[0][n] * q, tables[0][n - 1] * qm1
     dt = x.dtype.type
     a, b = dt(alpha), dt(beta)
@@ -165,26 +171,26 @@ def cached_gauss_jacobi(alpha: float, beta: float, n: int,
 def gauss_laguerre(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n-point Gauss-Laguerre rule for weight e^{-x} on [0, inf).
 
-    Returns (x, w, w_exp) with w_exp = w * e^x, assembled in the log domain.
-    The Laguerre recurrence runs unscaled in longdouble, where |L_n| at the
-    largest node overflows from about n = 5700 with an 80-bit longdouble
-    (far sooner where longdouble is double); the rule then raises
-    ConvergenceError naming n.
+    Returns (x, w, w_exp) with w_exp = w * e^x.  The Laguerre recurrence runs
+    in longdouble, rescaled by powers of two with the exponent carried per
+    node, and w_exp is assembled in the log domain, so neither L_n at the
+    largest nodes nor e^x overflows.
     """
     if n < 1:
         raise ArgumentError("need at least one quadrature node")
     tables = bases._step_tables(bases.weighted_laguerre(), n + 1, LD)
-    failure = f"Gauss-Laguerre recurrence is not finite for n={n}"
 
     def step(z):
-        lm1, l = _last_two(tables, z, n)
+        lm1, l, _ = _rescaled_last_two(tables, z, n)
         return l * z / (n * (l - lm1))      # L_n / L_n', as x L_n' = n (L_n - L_{n-1})
 
     k = np.arange(n, dtype=float)
-    xe = _polish(step, _tridiagonal_eigenvalues(2 * k + 1, k[1:]).astype(LD), failure)
-    l = _finite(lambda z: _last_two(tables, z, n + 1)[1], xe, failure)
-    # w_exp = x / ((n+1) e^{-x/2} L_{n+1})^2
-    ln_wexp = np.log(xe) - 2.0 * (np.log(np.abs(l)) + np.log(LD(n + 1)) - xe / 2)
+    xe = _polish(step, _tridiagonal_eigenvalues(2 * k + 1, k[1:]).astype(LD),
+                 f"Gauss-Laguerre Newton step is not finite for n={n}")
+    _, l, e = _rescaled_last_two(tables, xe, n + 1)
+    # w_exp = x / ((n+1) e^{-x/2} L_{n+1})^2, L_{n+1} = l 2^e
+    ln_wexp = (np.log(xe) - 2.0 * (np.log(np.abs(l)) + e * np.log(LD(2.0))
+                                   + np.log(LD(n + 1)) - xe / 2))
     w_exp = np.exp(ln_wexp).astype(float)
     x = xe.astype(float)
     w = w_exp * np.exp(-x)

@@ -172,9 +172,9 @@ def vals2coeffs(values: np.ndarray) -> np.ndarray:
 def indefinite_integral_cheb(coeffs) -> np.ndarray:
     """Coefficients of int_{-1}^x phi, phi a Chebyshev series; length J+2.
 
-    alpha~_j = alpha_{j-1} / (2j) - alpha_{j+1} / (2j) for j >= 2 (the bits
-    of convmat's column 0), alpha~_1 = alpha_0 - alpha_2 / 2, and alpha~_0
-    makes the result vanish at x = -1.
+    alpha~_j = (alpha_{j-1} - alpha_{j+1}) / (2j) for j >= 2,
+    alpha~_1 = alpha_0 - alpha_2 / 2, and alpha~_0 makes the result vanish
+    at x = -1.
     """
     a = np.asarray(coeffs, dtype=float)
     if a.ndim != 1 or a.size == 0:
@@ -184,7 +184,7 @@ def indefinite_integral_cheb(coeffs) -> np.ndarray:
     out = np.empty(J + 2)
     out[1] = ap[0] - ap[2] / 2.0
     j = np.arange(2, J + 2)
-    out[2:] = ap[j - 1] / (2.0 * j) - ap[j + 1] / (2.0 * j)
+    out[2:] = (ap[j - 1] - ap[j + 1]) / (2.0 * j)
     signs = np.where(np.arange(1, J + 2) % 2 == 1, 1.0, -1.0)
     out[0] = math.fsum(signs * out[1:])
     return out

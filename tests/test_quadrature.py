@@ -107,13 +107,39 @@ class TestGaussLaguerre:
         x, w, wexp = quadrature.gauss_laguerre(24)
         np.testing.assert_allclose(wexp * np.exp(-x), w, rtol=1e-13)
 
-    def test_overflowing_rule_refused_quietly(self):
+    def test_past_the_longdouble_range(self):
         # |L_n| at the largest node overflows an 80-bit longdouble from
-        # n = 5706, and sooner where longdouble is double
+        # n = 5706; the carried exponent keeps the rule finite and quiet
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConvergenceError, match="n=6000"):
-                quadrature.gauss_laguerre(6000)
+            x, w, wexp = quadrature.gauss_laguerre(6000)
+        assert np.all(np.isfinite(wexp)) and np.all(wexp > 0)
+        assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [494, 1000])
+    def test_where_longdouble_is_double(self, monkeypatch, n):
+        # the rule's arithmetic where longdouble is plain double: |L_n| at
+        # the largest node passes float64's range from n = 494 (fit_laguerre's
+        # rule for degree 243) and is about 1e854 at n = 1000
+        want = quadrature.gauss_laguerre(n)
+        monkeypatch.setattr(quadrature, "LD", np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, w, wexp = quadrature.gauss_laguerre(n)
+        np.testing.assert_allclose(x, want[0], rtol=1e-11)
+        np.testing.assert_allclose(wexp, want[2], rtol=1e-7)
+        assert np.sum(w) == pytest.approx(1.0, abs=1e-11)
+
+    def test_rescaling_keeps_the_bits(self):
+        # scaling by powers of two is exact: the pair equals an unscaled
+        # run's, times 2^-e
+        tables = bases._step_tables(bases.weighted_laguerre(), 200, np.longdouble)
+        x = np.linspace(0.0, 300.0, 41).astype(np.longdouble)
+        qm1, q, e = quadrature._rescaled_last_two(tables, x, 200)
+        want = list(bases.poly_vandermonde(bases.weighted_laguerre(), x, 200).T[-2:])
+        assert np.any(e != 0)
+        for got, ref in zip((qm1, q), want):
+            assert np.array_equal(np.ldexp(got, e), ref)
 
 
 def exactness(a, b, x, w):
