@@ -16,8 +16,8 @@ from .convmat import (ConvMatrix, RecurrenceTables, apply, build,
 from .errors import (ArgumentError, BasisParameterError, ConvergenceError,
                      DegenerateParameterError, DimensionError, DomainError,
                      DomainMismatchError, NarrowLongdoubleError, NonResolutionError,
-                     OversizeError, SingularSystemError, UnsupportedBasisError,
-                     VoltconvError)
+                     OversizeError, RangeOverflowError, SingularSystemError,
+                     UnsupportedBasisError, VoltconvError)
 from .laguerre import (LaguerreConvMatrix, apply_laguerre, build_laguerre,
                        fit_laguerre, to_dense_laguerre)
 from .oracle import (ErrorReport, compare_entrywise, conv_coeff_block,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bases, convmat, laguerre, oracle, series, volterra
 from .errors import (ArgumentError, VoltconvError, SingularSystemError, ConvergenceError,
-                     NarrowLongdoubleError, NonResolutionError)
+                     NarrowLongdoubleError, NonResolutionError, RangeOverflowError)
 from .prng import random_kernel
 
 _EXIT_BAD_ARGS = 2
@@ -285,7 +285,8 @@ def run(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"voltconv: i/o error: {exc}", file=sys.stderr)
         return _EXIT_IO
-    except (SingularSystemError, ConvergenceError, NonResolutionError) as exc:
+    except (SingularSystemError, ConvergenceError, NonResolutionError,
+            RangeOverflowError) as exc:
         print(f"voltconv: numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     except NarrowLongdoubleError as exc:

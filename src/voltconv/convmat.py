@@ -681,11 +681,14 @@ def _apply_rows(R: ConvMatrix, lo: int, view, x: np.ndarray, b: np.ndarray,
     """One row block of R b into out (unscaled), and rows 0..M with the
     first block (lo = 0), from b and x, b zero-padded to N+1 entries.  scipy
     allocates the block's product, at most N+1 floats, on the running
-    thread."""
+    thread.  Rows 0..M go through np.dot, which lets go of the GIL during
+    the product where the @ operator holds it."""
     start = R.M + 1 + lo
     out[start:start + view.shape[0]] = view @ x
     if lo == 0:
-        np.add(R.top[:, :b.size] @ b, 0.0, out=out[:R.M + 1])   # no -0.0 in rows 0..M
+        top = out[:R.M + 1]
+        np.dot(R.top[:, :b.size], b, out=top)
+        top += 0.0                                  # no -0.0 in rows 0..M
 
 
 def to_dense(R: ConvMatrix) -> np.ndarray:

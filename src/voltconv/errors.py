@@ -48,6 +48,10 @@ class ConvergenceError(VoltconvError, RuntimeError):
     """An iterative numerical procedure failed to converge."""
 
 
+class RangeOverflowError(VoltconvError, ArithmeticError):
+    """A float64 intermediate overflows where the result needs it finite."""
+
+
 class OversizeError(VoltconvError, ValueError):
     """Problem size beyond what the coefficient oracle is willing to do."""
 

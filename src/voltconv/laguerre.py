@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bases, quadrature
 from .convmat import _kernel_and_size, _size
-from .errors import ArgumentError, DimensionError
+from .errors import ArgumentError, DimensionError, RangeOverflowError
 from .series import PolySeries
 
 FFT_THRESHOLD = 1 << 16   # direct convolution below (M+1)*(len b)
@@ -121,12 +121,20 @@ def fit_laguerre(f, degree: int) -> PolySeries:
     a_m = integral of f(x) L_m(x) dx, evaluated with a 2*degree + 8 point
     Gauss-Laguerre rule on the weight-stripped integrand.  The rule is exact
     only for polynomial-decay products, so fitting quality for slowly
-    decaying f is the caller's concern.
+    decaying f is the caller's concern.  The Vandermonde is float64, and
+    from degree 244 L_m overflows at the rule's largest nodes: that raises
+    RangeOverflowError.
     """
     degree = _size(degree, "degree")
     npts = 2 * degree + 8
     x, _, w_exp = quadrature.gauss_laguerre(npts)
     F = np.asarray(f(x), dtype=float) * w_exp
-    V = bases.poly_vandermonde(bases.weighted_laguerre(), x, degree)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            V = bases.poly_vandermonde(bases.weighted_laguerre(), x, degree)
+    except FloatingPointError:
+        raise RangeOverflowError(
+            f"fit_laguerre at degree {degree}: the Laguerre functions overflow "
+            f"float64 at the {npts}-point rule's largest nodes") from None
     coeffs = V.T @ F
     return PolySeries(bases.weighted_laguerre(), (0.0, np.inf), coeffs)

@@ -25,11 +25,16 @@ bases._MIN_RANGE_BYTES of grid: the calling thread runs one part and the
 shared pool that lives for the process the others (bases._run_split);
 the result has the same bits for any thread count.
 The kernel's values on the grid come from series.clenshaw, which splits its
-points the same way.  Every buffer the workers write is allocated by the
-caller before the split, and the workers call private functions only: the
-public series.clenshaw, the recurrence tables and the projection product
-all run on the calling thread, so a wrapper that a caller puts around a
-public voltconv function is only ever entered from that thread.
+points the same way.  The projection (_project_columns) is one product per
+block of 16 columns over the rows up to the block's last degree, so it
+skips most of the entries past each column's degree; numpy's dot lets go
+of the GIL, and the blocks are dealt in runs of equal kept entries to the
+calling thread and the pool, with the same bits for any thread count.
+Every buffer the workers write is allocated by the caller before the
+split, and the workers call private functions only: the public
+series.clenshaw and the recurrence tables run on the calling thread, so a
+wrapper that a caller puts around a public voltconv function is only ever
+entered from that thread.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .quadrature import LD
 from .series import PolySeries, clenshaw, evaluate
 
 COEFF_ORACLE_CAP = 600  # max M+n for entrywise columns; sample pointwise beyond
+_BLOCK_COLUMNS = 16     # columns per product in the projection (_project_columns)
 
 
 @dataclass(frozen=True)
@@ -69,7 +75,8 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
     Pure quadrature: h_n sampled at the projection nodes by exact-degree
     Gauss-Legendre on [-1, y_j], then projected by exact-degree Gauss-Jacobi
     inner products.  h_n has degree M+n+1, so the entries of column n below
-    row M+n+1 are set to zero rather than taken from the projection.
+    row M+n+1 are zero, and the projection forms them only where a block of
+    columns (_project_columns) reaches past a column's degree.
     """
     if not f.basis.finite_interval:
         raise DomainMismatchError("coefficient oracle needs a finite-interval basis")
@@ -88,18 +95,51 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
     proj = quadrature.cached_gauss_jacobi(al, be, J, extended=extended)
     y, W = proj.x, proj.w
     # sqrt(W) goes into both factors, so that the norms are the column sums
-    # of V * V.  np.dot on a contiguous V^T is numpy's fastest longdouble
-    # product (timings in CHANGES.md).
+    # of V * V.  np.dot with a C-ordered left factor and an F-ordered right
+    # one reads both with unit stride (timings in CHANGES.md).
     root_w = np.sqrt(W)[:, None]
-    WH = _h_values(f, y, q, N).T               # (J, N+1)
+    WH = _h_values(f, y, q, N).T               # (J, N+1), F-ordered
     WH *= root_w
     V = bases.poly_vandermonde(f.basis, y, K)
     V *= root_w
-    num = np.dot(np.ascontiguousarray(V.T), WH)               # (K+1, N+1)
+    VT = np.ascontiguousarray(V.T)
     norms = np.einsum("jk,jk->k", V, V)
-    out = (num / norms[:, None]).astype(float, copy=False)   # (M+N+2, N+1)
-    out[np.tri(K + 1, N + 1, -(M + 2), dtype=bool)] = 0.0     # rows k > M+n+1
+    # Blocks of _BLOCK_COLUMNS columns, whatever the part count, so that the
+    # double tier's BLAS products have the same shapes and bits; each part is
+    # a run of blocks, cut at equal shares of the kept entries (M+n+2 in
+    # column n, so edge(edge + 2M + 3) / 2 before a block's first column).
+    edges = np.append(np.arange(0, N + 1, _BLOCK_COLUMNS), N + 1)
+    kept = edges * (edges + 2 * M + 3) // 2
+    parts = bases._workers(WH.nbytes, len(edges) - 1)
+    cuts = edges[np.unique(np.searchsorted(kept, kept[-1] * np.arange(parts + 1) / parts))]
+    below = np.tri(_BLOCK_COLUMNS, _BLOCK_COLUMNS, -1, dtype=bool)
+    out = np.zeros((K + 1, N + 1))
+    bases._run_split(_project_columns, [
+        (M, VT, WH, norms, lo, hi, np.empty((M + hi + 1) * _BLOCK_COLUMNS, VT.dtype),
+         below, out) for lo, hi in zip(cuts, cuts[1:])])
     return out
+
+
+def _project_columns(M, VT, WH, norms, lo, hi, buf, below, out):
+    """Columns lo..hi-1 of the projection (VT @ WH) / norms, rounded into
+    out, whose rows k > M+n+1 of column n hold zeros.
+
+    Each block [n0, n1) of at most _BLOCK_COLUMNS columns is one product
+    over rows 0..M+n1 into buf, the part's scratch; ``below``, the strict
+    lower triangle of a block's square, marks the rows of the block's last
+    w that lie past a column's degree, which are zeroed.  In longdouble
+    every kept entry is numpy's sequential sum over the J nodes whatever
+    the blocks; in float64 BLAS orders the sums by a block's shape, which
+    does not depend on the part count.
+    """
+    for n0 in range(lo, hi, _BLOCK_COLUMNS):
+        n1 = min(n0 + _BLOCK_COLUMNS, hi)
+        rows, w = M + n1 + 1, n1 - n0
+        num = buf[:rows * w].reshape(rows, w)
+        np.dot(VT[:rows], WH[:, n0:n1], out=num)
+        num /= norms[:rows, None]
+        out[:rows, n0:n1] = num
+        np.copyto(out[M + n0 + 1:rows, n0:n1], 0.0, where=below[:w, :w])
 
 
 def _h_values(f: PolySeries, y: np.ndarray, q: int, N: int):

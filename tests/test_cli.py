@@ -166,6 +166,16 @@ class TestSubcommands:
                     "-N", "0", "--out", str(tmp_path / "u.json")]) == 4
         capsys.readouterr()
 
+    def test_laguerre_fit_overflow_is_a_numerical_failure(self, tmp_path, capsys):
+        req = tmp_path / "req.json"
+        req.write_text(json.dumps({"expr": "x*exp(-x)", "basis": "WeightedLaguerre",
+                                   "degree": 244}))
+        out = tmp_path / "f.json"
+        assert run(["fit", "--in", str(req), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("voltconv: numerical failure: ") and "degree 244" in err
+        assert not out.exists()
+
     def test_narrow_longdouble_is_a_platform_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(quadrature, "EXTENDED_AVAILABLE", False)
         assert run(["verify", "--basis", "legendre", "-M", "3", "-N", "10",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from voltconv import bases, laguerre
-from voltconv.errors import ArgumentError, DimensionError
+from voltconv.errors import ArgumentError, DimensionError, RangeOverflowError
 from voltconv.series import evaluate
 
 
@@ -137,6 +137,14 @@ class TestFitting:
     def test_non_integer_degree(self, degree):
         with pytest.raises(ArgumentError, match="degree must be an integer"):
             laguerre.fit_laguerre(lambda x: x * np.exp(-x), degree)
+
+    @pytest.mark.filterwarnings("error")
+    def test_float64_vandermonde_limit(self):
+        # L_m overflows float64 at the largest nodes of the 2 * 244 + 8 point
+        # rule: quietly fine at 243, a named numerical failure at 244
+        assert laguerre.fit_laguerre(lambda x: x * np.exp(-x), 243).degree == 243
+        with pytest.raises(RangeOverflowError, match="degree 244"):
+            laguerre.fit_laguerre(lambda x: x * np.exp(-x), 244)
 
     def test_weighted_evaluation(self):
         fit = laguerre.fit_laguerre(lambda x: 0.5 * x**2 * np.exp(-x), 2)

@@ -178,9 +178,10 @@ def _oracle_outputs(name, M, N, samples):
 
 
 # (M, N, samples) of _oracle_outputs: every grid of SMALL lies below
-# bases._MIN_RANGE_BYTES; LARGE's grids hold 2 (the double block) to 4 times
-# it (the extended block: 363 x 182 longdouble nodes; the sampled check:
-# 440 x 112)
+# bases._MIN_RANGE_BYTES, and so do its projected values (at most 63 x 51
+# longdouble); LARGE's grids hold 2 (the double block) to 4 times it (the
+# extended block: 363 x 182 longdouble nodes; the sampled check: 440 x 112),
+# and its projected values (363 x 351) 4 (double) and 8 (extended) times it
 SMALL = ((0, 0, 30), (3, 7, 30), (10, 50, 30))
 LARGE = (10, 350, 440)
 
@@ -246,8 +247,9 @@ class TestThreadedRecurrences:
                 for attr, obj in list(vars(mod).items()):
                     if id(obj) in wrappers:
                         monkeypatch.setattr(mod, attr, wrappers[id(obj)])
-        workers, kernels = set(), set()
+        workers, kernels, projections = set(), set(), set()
         h_block, pn_group = oracle._h_block, oracle._pn_group
+        project_columns = oracle._project_columns
         clenshaw_rows = series._clenshaw_rows
 
         def on_worker(fn, seen):
@@ -258,6 +260,8 @@ class TestThreadedRecurrences:
 
         monkeypatch.setattr(oracle, "_h_block", on_worker(h_block, workers))
         monkeypatch.setattr(oracle, "_pn_group", on_worker(pn_group, workers))
+        monkeypatch.setattr(oracle, "_project_columns",
+                            on_worker(project_columns, projections))
         monkeypatch.setattr(series, "_clenshaw_rows", on_worker(clenshaw_rows, kernels))
         monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
         # 2000 points x 102 nodes: both of its Clenshaw sums lie above the floor
@@ -280,7 +284,7 @@ class TestThreadedRecurrences:
                 "voltconv.oracle.conv_point_oracle"} <= names
         assert {ident for _, ident in calls} == {caller}
         # the caller runs the last part of each split, a pool thread the rest
-        assert len(workers) >= 2 and len(kernels) >= 2
+        assert len(workers) >= 2 and len(kernels) >= 2 and len(projections) >= 2
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_worker_error_reaches_the_caller(self, cpus, monkeypatch):
@@ -305,6 +309,64 @@ class TestThreadedRecurrences:
         with np.errstate(invalid="raise"):
             with pytest.raises(FloatingPointError):
                 oracle._pn_rows(basis, t, np.array([3, 3, 3, 3]))
+
+
+def _full_projection(f, N, extended):
+    """conv_coeff_block as one (M+N+2, N+1) product, with the entries past
+    each column's degree masked to zero afterwards: the reference for the
+    projection over blocks of columns."""
+    M = f.degree
+    K = M + N + 1
+    al, be = bases.weight_parameters(f.basis)
+    proj = quadrature.cached_gauss_jacobi(al, be, K + 2, extended=extended)
+    root_w = np.sqrt(proj.w)[:, None]
+    WH = oracle._h_values(f, proj.x, (M + N) // 2 + 2, N).T
+    WH *= root_w
+    V = bases.poly_vandermonde(f.basis, proj.x, K)
+    V *= root_w
+    num = np.dot(np.ascontiguousarray(V.T), WH)
+    norms = np.einsum("jk,jk->k", V, V)
+    out = (num / norms[:, None]).astype(float, copy=False)
+    out[np.tri(K + 1, N + 1, -(M + 2), dtype=bool)] = 0.0
+    return out
+
+
+# The double tier's products run through BLAS, whose sums over the nodes
+# are ordered by the operands' shapes, so blocks of columns round apart
+# from the one full product: 1.4e-15 of max|R| at (10, 300) on six bases
+DOUBLE_TIER_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("name", ["chebyshev", "legendre", "gegenbauer2", "jacobi_2_1.5"])
+def test_blocked_projection_matches_the_full_product(name, monkeypatch):
+    # a floor of one byte splits every block over up to one part per CPU
+    workers, run_split = bases._workers, bases._run_split
+    parts = []
+
+    def record(work, split):
+        if work is oracle._project_columns:
+            parts.append(len(split))
+        run_split(work, split)
+
+    monkeypatch.setattr(bases, "_workers", lambda nbytes, rows, floor=1: workers(nbytes, rows, 1))
+    monkeypatch.setattr(bases, "_run_split", record)
+    for M, N in ((0, 0), (3, 7), (12, 8), (10, 50), (10, 300)):
+        f = PolySeries(EXTENDED_BASES[name], (-1, 1), random_kernel(M, 3))
+        ref = {ext: _full_projection(f, N, ext) for ext in (True, False)}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(bases, "_cpu_count", lambda cpus=cpus: cpus)
+            parts.clear()
+            for ext in (True, False):
+                got = oracle.conv_coeff_block(f, N, extended=ext)
+                assert got.dtype == np.float64 and got.flags.c_contiguous
+                assert got.shape == ref[ext].shape == (M + N + 2, N + 1)
+                if ext:
+                    assert np.array_equal(got, ref[ext])
+                    assert np.array_equal(np.signbit(got), np.signbit(ref[ext]))
+                else:
+                    err = np.max(np.abs(got - ref[ext]))
+                    assert err <= DOUBLE_TIER_RTOL * np.max(np.abs(ref[ext])), (M, N, err)
+            assert parts == [min(cpus, -(-(N + 1) // oracle._BLOCK_COLUMNS))] * 2
 
 
 def _recorder(name, fn, calls):
