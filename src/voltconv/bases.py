@@ -25,16 +25,17 @@ same doubled grid, which gives the unscaled bits at five stores a step.
 The recurrences treat every point on its own, and numpy releases the GIL
 inside their ufunc loops, so the Clenshaw sum and the oracle's grid
 recurrences split their points over one thread per CPU, above a floor.
-They, and convmat.apply's row blocks, run on one worker pool that lives
-for the process (_pool, _run_split).
+They, and convmat.apply's row blocks, run on the calling thread and on
+worker threads that live for the process, each woken through one lock and
+waited for through another (_pool, _run_split).
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -316,30 +317,65 @@ def _workers(nbytes: int, rows: int, floor: int = _MIN_RANGE_BYTES) -> int:
     return 1 if most < 2 else min(_cpu_count(), most)
 
 
-_POOL: Optional[ThreadPoolExecutor] = None
-_POOL_LOCK = threading.Lock()
 _POOL_THREAD_PREFIX = "voltconv-pool"
 
 
-def _pool() -> ThreadPoolExecutor:
-    """The shared worker pool: _cpu_count() - 1 threads (at least one),
-    made on first use and kept for the life of the process.  Its threads
-    start as work arrives and then wait for more, so a split pays a handoff
-    rather than a pool's start and join."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max(1, _cpu_count() - 1),
-                                       thread_name_prefix=_POOL_THREAD_PREFIX)
-        return _POOL
+class _Worker:
+    """One pool thread and its handoff.  start() stores the task and
+    releases ``go``; the thread runs it, keeps any exception, drops the task
+    and releases ``done``, which join() acquires.  Both locks stay held
+    while the thread is idle, so each side waits on one lock."""
+
+    __slots__ = ("go", "done", "task", "error")
+
+    def __init__(self, name: str):
+        self.go, self.done = threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.task = self.error = None
+        threading.Thread(target=self._serve, name=name, daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self.go.acquire()
+            try:
+                self.task()
+            except BaseException as exc:    # join() hands it to the caller
+                self.error = exc
+            self.task = None                # an idle worker keeps no argument alive
+            self.done.release()
+
+    def start(self, task) -> None:
+        self.task = task
+        self.go.release()
+
+    def join(self):
+        """Wait for the task; the exception it raised, or None."""
+        self.done.acquire()
+        error, self.error = self.error, None
+        return error
+
+
+_POOL: list = []
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> list:
+    """The shared workers, for the holder of _POOL_LOCK: _cpu_count() - 1
+    daemon threads (at least one), made as needed and kept for the life of
+    the process, so a split pays two lock handoffs per worker rather than a
+    pool's start and join."""
+    while len(_POOL) < max(1, _cpu_count() - 1):
+        _POOL.append(_Worker(f"{_POOL_THREAD_PREFIX}-{len(_POOL)}"))
+    return _POOL
 
 
 def _drop_pool() -> None:
-    """Forget the pool in a forked child, where its threads did not survive
-    (and its lock may have been held by one), so that the child makes its
-    own pool instead of waiting forever on the parent's."""
+    """Forget the workers in a forked child, where their threads did not
+    survive (and _POOL_LOCK may have been held by a split), so that the
+    child makes its own instead of waiting forever on the parent's."""
     global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
+    _POOL, _POOL_LOCK = [], threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):    # POSIX
@@ -347,27 +383,37 @@ if hasattr(os, "register_at_fork"):    # POSIX
 
 
 def _run_split(work, parts) -> None:
-    """work(*part) for every part: the last on the calling thread, the others
-    on the shared pool's workers (_pool), and all inline when there is one.
+    """work(*part) for every part: the first ones on the shared workers
+    (_pool), one each, and the rest, the last part among them, on the
+    calling thread; all inline when there is one part, or when another
+    split holds the workers.
 
     Every buffer a part names is allocated by the caller, and ``work`` calls
     private functions only: the workers neither allocate the large arrays
     (which would spread them over per-thread malloc arenas) nor enter a
     public function that a caller may have wrapped.  Each worker runs in a
     copy of the caller's contextvars context, so np.errstate carries over.
-    The caller waits for every worker before it returns or raises, and reads
-    every result, so a worker's exception reaches the caller.  Workers never
-    wait on the pool themselves, so concurrent callers cannot deadlock it.
+    The caller waits for every worker before it returns or raises, and the
+    first worker exception, in part order, is raised on the caller.  Workers
+    never wait on the pool: a split that finds it busy, a nested one
+    included, runs inline instead of queueing.
     """
-    if len(parts) == 1:
-        work(*parts[0])
+    if len(parts) == 1 or not _POOL_LOCK.acquire(blocking=False):
+        for part in parts:
+            work(*part)
         return
-    pool = _pool()
-    futures = [pool.submit(contextvars.copy_context().run, work, *part)
-               for part in parts[:-1]]
+    started = []
     try:
-        work(*parts[-1])
+        for worker, part in zip(_pool(), parts[:-1]):
+            worker.start(functools.partial(contextvars.copy_context().run, work, *part))
+            started.append(worker)
+        for part in parts[len(started):]:
+            work(*part)
     finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+        # a join cut short by a signal leaves the lock held: later splits
+        # then run inline rather than hand a busy worker a second task
+        errors = [worker.join() for worker in started]
+        _POOL_LOCK.release()
+    for error in errors:
+        if error is not None:
+            raise error

@@ -25,8 +25,9 @@ per-basis branch.  Entries below finfo.tiny are stored as exact zeros (see
 build), and region A stops each offset at its last nonzero entry.
 Every reader of the packed storage lives in this module; apply() reads the
 band through zero-copy scipy.sparse DIA views of its row blocks
-(ConvMatrix._row_blocks), one per CPU on bases' shared worker pool above
-a size floor, with the same bits for any number of blocks.
+(ConvMatrix._row_blocks), one per CPU on bases' shared worker threads
+above a size floor, cut at equal costs with a top entry counted at
+_TOP_COST of a band entry, with the same bits for any number of blocks.
 
 The naive single-recursion builder is kept for error-growth studies; above
 the main diagonal its multipliers exceed 1 and roundoff snowballs.
@@ -58,6 +59,15 @@ _TINY = np.finfo(float).tiny
 # below twice this, one block runs inline: a split's handoffs cost more
 # than they save on smaller matrices (timings in CHANGES.md).
 _MIN_APPLY_BYTES = 1 << 21
+
+# The time apply takes to read an entry of top, in entries of band, for the
+# cuts of its row blocks (ConvMatrix._row_blocks): top goes through one BLAS
+# product, band through scipy's slower DIA pass.  Medians per apply against
+# 1.0 (2-vCPU x86_64 VM, one BLAS thread, 21 interleaved rounds): 0.6 took
+# (1000, 5000) from 8.20 to 7.06 ms (Chebyshev) and from 7.89 to 7.08 ms
+# (Legendre), where 0.5, 0.7 and 0.8 read 7.12-7.62 ms; at (10, 20000)
+# 0.6 to 1.0 lay within the noise on all four finite bases (0.30-0.41 ms).
+_TOP_COST = 0.6
 
 
 @dataclass(frozen=True)
@@ -108,14 +118,15 @@ class ConvMatrix:
         diagonals in offset order, so every row sums the same products in
         the same order for any cut.  The first block also carries the top
         product; the cuts balance the entries each block reads, counting
-        all of top with the first.
+        all of top with the first, each of its entries at _TOP_COST of a
+        band entry.
         """
         views = self._views.get(parts)
         if views is None:
             from scipy.sparse import dia_array
             M, N = self.M, self.N
             reads = np.cumsum(np.minimum(2 * M + 2, N - np.arange(N + 1)) + 1)
-            reads += (M + 1) * (N + 1)
+            reads = reads + _TOP_COST * (M + 1) * (N + 1)
             cuts = np.searchsorted(reads, reads[-1] * np.arange(1, parts) / parts)
             cuts = np.unique(np.concatenate([[0], cuts, [N + 1]]))
             offsets = np.arange(2 * M + 2, -1, -1)
@@ -672,7 +683,8 @@ def apply(R: ConvMatrix, b) -> np.ndarray:
     parts = bases._workers(R.top.nbytes + R.band.nbytes, R.N + 1, _MIN_APPLY_BYTES)
     bases._run_split(_apply_rows, [(R, lo, view, x, b, out)
                                    for lo, view in R._row_blocks(parts)])
-    out *= R.scale
+    if R.scale != 1.0:
+        out *= R.scale
     return out
 
 

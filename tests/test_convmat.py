@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import os
@@ -8,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -446,8 +448,10 @@ class TestApply:
             got, want = convmat.apply(R, b), reference_apply(R, b)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
-        # the top rows, a third of the entries here, ride with the first block
-        assert splits == [2, 2]
+        # the top rows hold a third of the entries here and ride with the
+        # first block, but count at convmat._TOP_COST of a band entry, so
+        # the first cut falls past row 0 and every CPU gets a block
+        assert splits == [cpus, cpus]
 
     def test_nothing_is_submitted_below_the_floor(self, monkeypatch):
         def no_pool():
@@ -476,6 +480,45 @@ class TestApply:
         R = convmat.build(bases.legendre(), random_kernel(10, 2), 200)
         with pytest.raises(FloatingPointError, match="block failed"):
             convmat.apply(R, np.ones(201))
+
+    def test_workers_serve_again_after_an_error(self, monkeypatch):
+        caller = threading.get_ident()
+        apply_rows = convmat._apply_rows
+        threads, fail = set(), [True]
+
+        def record(*args):
+            threads.add(threading.get_ident())
+            if fail[0] and threading.get_ident() != caller:
+                raise FloatingPointError("block failed")
+            apply_rows(*args)
+
+        monkeypatch.setattr(convmat, "_apply_rows", record)
+        monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
+        R = convmat.build(bases.legendre(), random_kernel(10, 2), 200)
+        b = np.random.default_rng(4).uniform(-1, 1, 201)
+        with pytest.raises(FloatingPointError, match="block failed"):
+            convmat.apply(R, b)
+        failed_on, fail[0] = set(threads), False
+        threads.clear()
+        got = convmat.apply(R, b)
+        assert np.array_equal(got, reference_apply(R, b))
+        assert np.array_equal(np.signbit(got), np.signbit(reference_apply(R, b)))
+        assert len(threads) == 3 and threads == failed_on
+
+    def test_idle_workers_keep_nothing_alive(self, monkeypatch):
+        # a worker that kept its last task would keep R, b and out alive
+        # until its next split
+        monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
+        R = convmat.build(bases.jacobi(2.0, 1.5), random_kernel(10, 2), 300)
+        b = np.ones(301)
+        out = convmat.apply(R, b)
+        assert len(R._views[3]) == 3
+        alive = weakref.ref(R)
+        del R, b, out
+        gc.collect()
+        assert alive() is None
 
     def test_concurrent_callers_get_exact_results(self, monkeypatch):
         # more blocks than CPUs, from two threads at once, switching often

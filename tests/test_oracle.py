@@ -331,6 +331,20 @@ def _full_projection(f, N, extended):
     return out
 
 
+@pytest.mark.parametrize("extended", [False, True])
+def test_h_values_keep_the_projection_layout(extended):
+    # longdouble np.dot has no BLAS and reads the right factor WH = H.T with
+    # its own strides; a C-ordered WH made the extended projection about 8
+    # times slower at the (10, 590) block shape (timings in CHANGES.md)
+    M, N = 10, 50
+    f = PolySeries(bases.jacobi(2.0, 1.5), (-1, 1), random_kernel(M, 3))
+    al, be = bases.weight_parameters(f.basis)
+    proj = quadrature.cached_gauss_jacobi(al, be, M + N + 3, extended=extended)
+    H = oracle._h_values(f, proj.x, (M + N) // 2 + 2, N)
+    assert H.shape == (N + 1, len(proj.x)) and H.flags.c_contiguous
+    assert H.T.flags.f_contiguous
+
+
 # The double tier's products run through BLAS, whose sums over the nodes
 # are ordered by the operands' shapes, so blocks of columns round apart
 # from the one full product: 1.4e-15 of max|R| at (10, 300) on six bases
