@@ -7,6 +7,8 @@ vectors, solve second-kind convolution integral equations, and verify
 everything against an independent quadrature oracle.
 """
 
+import logging
+
 from .bases import (BasisSpec, chebyshev, gegenbauer, jacobi, legendre,
                     weighted_laguerre)
 from .convmat import (ConvMatrix, RecurrenceTables, apply, build,
@@ -34,3 +36,4 @@ from .volterra import (VolterraProblem, convolve, problem_from_json,
                        truncate_square)
 
 __version__ = "0.1.0"
+logging.getLogger(__name__).addHandler(logging.NullHandler())   # no hot path logs

@@ -11,7 +11,7 @@ diagonal / row:
                   is one forward recurrence over the columns (stable: its
                   multiplier is <= 1), run by a LAPACK bidiagonal solve
   region B        superdiagonal band, mirrored from region A through the
-                  rescaling symmetry of the (N-M) x (N-M) inner submatrix
+                  rescaling symmetry of the inner submatrix, in blocks of offsets
   region C        dense top rows including row 0, recast recursion swept
                   upward row by row over padded columns up to N+M+1 so each
                   row's domain of dependence is complete, two rows held at
@@ -22,12 +22,14 @@ diagonal / row:
 
 Column 0 and regions A and C read one RecurrenceTables per basis, with no
 per-basis branch.  Entries below finfo.tiny are stored as exact zeros (see
-build), and region A stops each offset at its last nonzero entry.
-Every reader of the packed storage lives in this module; apply() reads the
-band through zero-copy scipy.sparse DIA views of its row blocks
-(ConvMatrix._row_blocks), one per CPU on bases' shared worker threads
-above a size floor, cut at equal costs with a top entry counted at
-_TOP_COST of a band entry, with the same bits for any number of blocks.
+build), and region A stops each offset at its last nonzero entry.  Above a
+size floor a shared worker (bases._run_split) zeroes top beside region A and
+runs region B beside region C, with the same bits as inline.  apply() reads
+the band through zero-copy scipy.sparse DIA views of its row blocks
+(ConvMatrix._row_blocks), one per CPU on the shared workers above a floor,
+cut at equal costs with a top entry at _TOP_COST of a band entry, with the
+same bits for any number of blocks; every reader of the packed storage
+lives in this module.
 
 The naive single-recursion builder is kept for error-growth studies; above
 the main diagonal its multipliers exceed 1 and roundoff snowballs.
@@ -302,7 +304,8 @@ def _size(N, name: str = "N") -> int:
 
 def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     """Stable construction of the convolution matrix for any supported basis;
-    it allocates top and band (as returned when N >= M+2) and a few rows."""
+    it allocates top and band (as returned when N >= M+2) and a few rows.  A
+    worker zeroes top beside region A and runs region B beside region C."""
     a, N = _kernel_and_size(a, N)
     if not math.isfinite(scale):
         raise ArgumentError(f"scale must be finite (got {scale!r})")
@@ -324,21 +327,30 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     work = np.empty((2, Wp + 1))         # scratch rows, shared by the phases
     if flush:
         _flush_subnormal(col0, work[0])
-    top = np.zeros((M + 1, N + 1))
+    # region C writes all of top but past a banded basis' band, whose top
+    # stays calloc's: the pages past its band are never touched
+    split = bases._workers(8 * ((M + 1) * (N + 1) + (2 * M + 3) * (W + 1)), 2,
+                           _MIN_APPLY_BYTES) > 1
+    zero = split and not banded
+    top = np.empty((M + 1, N + 1)) if zero else np.zeros((M + 1, N + 1))
     band = np.zeros((2 * M + 3, W + 1))  # rows >= M+1, |k-n| <= M+1, cols 0..W
     D = band[M + 1:]                     # D[d, c] = R_{c+d, c}: region A, col 0
-    ends = _region_a(tables, M, W, col0, D, flush, work[0])
+    ends = [-2] * (M + 4)
+    phases = [(np.copyto, top, 0.0)] if zero else []
+    _phases(split, *phases, (_region_a, tables, M, W, col0, D, flush, work[0], ends))
 
-    # region B: superdiagonal band by symmetry, then R's rows M+1 and M+2
-    # over the padded columns, where region C starts
+    # R's rows M+1, M+2 (region C's start) by region B's formula, then B beside C
     pad = np.zeros((2, Wp + 1))
-    _fill_region_b(basis, M, W, Wp, band, pad, ends, flush, work[0])
+    ratios = _ratio_tables(basis, Wp, M + 1)
+    _pad_rows(ratios, M, W, D, ends, flush, pad, work[0])
+    mirror = _mirror_blocks(M, W, Wp, band, ends)
 
     # region C: dense top rows swept upward by the recast recursion.  The
     # sweep includes row 0 (the k = 1 step; Chebyshev's A_1 = 1 halves it):
     # reconstructing row 0 from the boundary sum instead would amplify band
     # roundoff by the boundary weights, ~n^(2 lam - 1) for Gegenbauer.
-    _sweep_region_c(tables, M, N, col0, D, pad, top, banded, flush, work)
+    _phases(split, (_mirror, ratios, M, flush, *mirror),
+            (_sweep_region_c, tables, M, N, col0, D, pad, top, banded, flush, work))
 
     # the recast forms are singular at n = 1 for Chebyshev, so column 1's
     # top entry comes from the boundary sum over its nonzero rows 1..M+2
@@ -353,7 +365,16 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
                       np.ascontiguousarray(band[:, :N + 1]))
 
 
-def _region_a(tables, M, W, col0, D, flush, t):
+def _phases(split, *phases):
+    """Each (function, *args): the others beside the last on bases' workers."""
+    if split:
+        bases._run_split(lambda fn, *args: fn(*args), phases)
+    else:
+        for fn, *args in phases:
+            fn(*args)
+
+
+def _region_a(tables, M, W, col0, D, flush, t, ends):
     """Region A in place, D[d, c] = R_{c+d, c}; offset d is 0 past ends[d].
 
     Offset d's column step reads D[d, c-1] with the multiplier
@@ -364,7 +385,7 @@ def _region_a(tables, M, W, col0, D, flush, t):
     zero; ends[d] is then offset d's last nonzero column, where the next
     offsets' reach and region B's mirror stop.  g is summed in place on D's
     row, one term at a time through the scratch row t (at least W - 1
-    entries), which also takes |x| for the flush.
+    entries), which also takes |x| for the flush; ends has M+4 entries -2.
     """
     from scipy.linalg.lapack import dtbtrs
     A, B, C, shat = tables.A, tables.B, tables.C, tables.shat
@@ -382,7 +403,6 @@ def _region_a(tables, M, W, col0, D, flush, t):
     negAinv = -Ainv
     has_b = np.any(B)
     ab = np.ones((2, W - 1), order="F")   # unit diagonal, then -mu_{c+1}
-    ends = [-2] * (M + 4)                 # columns beyond ends[d] hold zeros
     for d in range(M + 1, -1, -1):
         # g_c is nonzero at most up to column hi
         hi = min(W, max(ends[d + 1] + 1, ends[d + 2] + 2, M + 1 - d, 2))
@@ -433,85 +453,102 @@ def _region_a(tables, M, W, col0, D, flush, t):
             nonzero = np.flatnonzero(x)
             hi = lo + nonzero[-1] if nonzero.size else lo - 1
         ends[d] = hi
-    return ends[:M + 2]
 
 
-def _flush_subnormal(x, t):
+def _flush_subnormal(x, t, small=None):
     """Store the entries of x below finfo.tiny in magnitude as exact zeros,
-    +0.0 for -0.0 too, with |x| in the scratch t (at least x.size entries).
+    +0.0 for -0.0 too, with |x| in the scratch t (at least x.size entries)
+    and the mask in small (x.size bools), when given.
 
     x is written only when its least |x| is below tiny or NaN (a NaN row
     keeps its NaNs), so a row with nothing to flush costs one pass.
     """
     absx = np.abs(x, out=t[:x.size])
-    if not (absx.min() >= _TINY):
-        np.copyto(x, 0.0, where=absx < _TINY)
+    if not (absx.min(initial=np.inf) >= _TINY):
+        np.copyto(x, 0.0, where=np.less(absx, _TINY, out=small))
 
 
-def _fill_region_b(basis, M, W, Wp, band, pad, ends, flush, t):
-    """Mirror the superdiagonal band, then fill pad with R's rows M+1, M+2.
-
-    Subdiagonal o is zero beyond column ends[o], and so is its mirror.  The
-    ratios, then |mirror| for the flush, go to the scratch row t (at least
-    W - M - 1 entries).
-    """
-    ratio = _ratio_factors(basis, Wp)
-    for o in range(1, M + 2):                  # superdiagonal offset n - k
-        klo, khi = M + 1, min(W - o, ends[o])
-        if khi >= klo:
-            out = band[M + 1 - o, klo + o:khi + o + 1]
-            np.multiply(ratio(klo, khi, o, t[:khi + 1 - klo]),
-                        band[o + M + 1, klo:khi + 1], out=out)   # R_{k+o, k}
-            if flush:
-                _flush_subnormal(out, t)
+def _pad_rows(ratios, M, W, D, ends, flush, pad, t):
+    """R's rows M+1 and M+2 into pad's zeros: region A's entries from D, and
+    region B's as _mirror stores them, without reading them, except that past
+    column W (only when N < 2M+3) every product R_{r,r+o} is kept."""
+    o = np.arange(1, M + 2)
     for i, r in enumerate((M + 1, M + 2)):
-        n = np.arange(r - M - 1, min(W, r + M + 1) + 1)
-        pad[i, n] = band[r - n + M + 1, n]
-        for c in range(W + 1, r + M + 2):     # W >= M+2, so only when N < 2M+3
-            mirror = band[c - r + M + 1, r]                # R_{c, r}
-            pad[i, c] = ratio(r, r, c - r)[0] * mirror
+        n = np.arange(r - M - 1, r + 1)
+        pad[i, n] = D[r - n, n]
+        x = np.multiply(_ratio(ratios, o, r), D[o, r], out=pad[i, r + 1:r + M + 2])
+        m = min(M + 1, W - r)            # columns r+1..W are band's
+        if flush:
+            _flush_subnormal(x[:m], t)
+        x[:m][r > np.asarray(ends[1:m + 1])] = 0.0
 
 
-def _ratio_factors(basis, nmax):
-    """Closure giving R_{k,k+o} / R_{k+o,k} for k = klo..khi, k + o <= nmax,
-    into ``out`` (khi - klo + 1 entries) when given, else a new array.
+def _mirror_blocks(M, W, Wp, band, ends):
+    """_mirror's last arguments: source D[o, k] and destination band[M+1-o, k+o]
+    as [o-1, k-M-1] views, blocks (offsets j0+1..j1, columns), each offset's
+    last k-M-1 (lim), column numbers and three block buffers.  A block is whole
+    offsets in at most 8 padded rows: fewer take the GIL from region C less."""
+    cols = W - M - 1
+    s0, s1 = band.strides
+    src = band[M + 2:, M + 1:W]
+    dst = np.lib.stride_tricks.as_strided(band[M, M + 2:], (M + 1, cols), (s1 - s0, s1))
+    lim = np.minimum(W - np.arange(1, M + 2), ends[1:M + 2])[:, None] - (M + 1)
+    rows = 8 * (Wp + 1) // cols
+    blocks = [(j, min(j + rows, M + 1), int(last) + 1) for j in range(0, M + 1, rows)
+              if (last := lim[j:j + rows].max()) >= 0]
+    size = max([(j1 - j0) * n for j0, j1, n in blocks], default=0)
+    return src, dst, blocks, lim, np.arange(cols), *np.empty((2, size)), np.empty(size, bool)
 
-    The sign (-1)^o is taken by np.negative, which gives the bits of a
-    product with -1 at any point of the quotient.  Jacobi uses the
-    cancellation-matched product form over one cumulative product table; the
-    raw Pochhammer quotient overflows for large indices.
-    """
-    kfull = np.arange(nmax + 1, dtype=float)
+
+def _mirror(ratios, M, flush, src, dst, blocks, lim, cols, x, t, mask):
+    """Region B by whole-block products on skewed views (_mirror_blocks):
+    R_{k,k+o} = ratio * R_{k+o,k}, flushed, for M+1 <= k <= lim + M+1 only
+    (subdiagonal o is zero past column ends[o]).  It allocates nothing: numpy
+    buffers 2-D ufunc operands with rows shorter than its buffer size."""
+    bufsize = np.setbufsize(16)
+    try:
+        for j0, j1, n in blocks:
+            size = (j1 - j0) * n
+            r = x[:size].reshape(j1 - j0, n)
+            _ratio(ratios, slice(j0 + 1, j1 + 1), slice(M + 1, M + 1 + n), r,
+                   t[:size].reshape(r.shape))
+            r *= src[j0:j1, :n]
+            if flush:
+                _flush_subnormal(x[:size], t, mask[:size])
+            keep = np.less_equal(cols[:n], lim[j0:j1], out=mask[:size].reshape(r.shape))
+            np.copyto(dst[j0:j1, :n], r, where=keep)
+    finally:
+        np.setbufsize(bufsize)
+
+
+def _ratio_tables(basis, nmax, omax):
+    """(P, Q) with R_{k,k+o} / R_{k+o,k} = P[0, k] / P[o, k] * Q[o, k] / Q[0, k]
+    for o <= omax, k + o <= nmax: skewed views P[o, k] = p_{k+o}, or None.
+    One table's signs alternate, which gives (-1)^o exactly.  Jacobi's q is
+    one cumulative product; the raw Pochhammer quotient overflows."""
+    k = np.arange(nmax + 1, dtype=float)
+    sign = np.where(np.arange(nmax + 1) % 2, -1.0, 1.0)
     if basis.kind == bases.CHEBYSHEV:
-        def fac(klo, khi, o, out=None):
-            k = kfull[klo:khi + 1]
-            x = _signed(np.add(k, o, out=out), o)
-            return np.divide(x, k, out=x)
-        return fac
-    if basis.kind in (bases.LEGENDRE, bases.GEGENBAUER):
-        lam = 0.5 if basis.kind == bases.LEGENDRE else basis.lam
-        kl = kfull + lam
-
-        def fac(klo, khi, o, out=None):
-            return _signed(np.divide(kl[klo:khi + 1], kl[klo + o:khi + o + 1], out=out), o)
-        return fac
-    al, be = basis.alpha, basis.beta
-    ab = al + be
-    f = (kfull + al + 1.0) * (kfull + be + 1.0) / (kfull + ab + 1.0) ** 2
-    F = np.concatenate([[1.0], np.cumprod(f)])
-    sig = ab + 2.0 * kfull + 1.0
-
-    def fac(klo, khi, o, out=None):
-        out = _signed(np.divide(sig[klo:khi + 1], sig[klo + o:khi + o + 1], out=out), o)
-        out *= F[klo + o:khi + o + 1] / F[klo:khi + 1]
-        return out
-    return fac
+        p, q = None, sign * k
+    elif basis.kind in (bases.LEGENDRE, bases.GEGENBAUER):
+        p, q = sign * (k + (0.5 if basis.kind == bases.LEGENDRE else basis.lam)), None
+    else:
+        al, be, ab = basis.alpha, basis.beta, basis.alpha + basis.beta
+        f = (k + al + 1.0) * (k + be + 1.0) / (k + ab + 1.0) ** 2
+        p, q = sign * (ab + 2.0 * k + 1.0), np.concatenate([[1.0], np.cumprod(f[:-1])])
+    return tuple(None if v is None else
+                 np.lib.stride_tricks.sliding_window_view(v, omax + 1).T for v in (p, q))
 
 
-def _signed(x, o):
-    """x times (-1)^o, in place."""
-    if o % 2:
-        np.negative(x, out=x)
+def _ratio(ratios, o, k, out=None, tmp=None):
+    """R_{k,k+o} / R_{k+o,k} from _ratio_tables, for o and k that broadcast
+    (ints, slices or int arrays), into out; tmp is scratch like out."""
+    p, q = ratios
+    if p is None:
+        return np.divide(q[o, k], q[0, k], out=out)
+    x = np.divide(p[0, k], p[o, k], out=out)
+    if q is not None:
+        x *= np.divide(q[o, k], q[0, k], out=tmp)
     return x
 
 
@@ -565,7 +602,7 @@ def symmetry_ratio(basis: BasisSpec, n: int, k: int) -> float:
     if n == k:
         return 1.0
     lo, hi = min(n, k), max(n, k)
-    rho = float(_ratio_factors(basis, hi)(lo, lo, hi - lo)[0])
+    rho = float(_ratio(_ratio_tables(basis, hi, hi - lo), hi - lo, lo))
     return rho if n < k else 1.0 / rho
 
 

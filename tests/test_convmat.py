@@ -189,14 +189,31 @@ class TestRatioFactors:
     @pytest.mark.parametrize("o", [1, 2, 7, 40])
     def test_bits_with_and_without_a_buffer(self, basis, o):
         nmax = 300
-        ratio = convmat._ratio_factors(basis, nmax)
+        ratios = convmat._ratio_tables(basis, nmax, o)
         for klo, khi in ((1, nmax - o), (11, 11), (150, 260 - o)):
             want = self.sgn_quotient(basis, nmax, klo, khi, o)
-            buf = np.full(khi - klo + 1, np.nan)
-            for got in (ratio(klo, khi, o), ratio(klo, khi, o, buf)):
+            k = slice(klo, khi + 1)
+            buf, tmp = np.full((2, khi - klo + 1), np.nan)
+            for got in (convmat._ratio(ratios, o, k), convmat._ratio(ratios, o, k, buf, tmp)):
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-            assert ratio(klo, khi, o, buf) is buf
+            assert convmat._ratio(ratios, o, k, buf, tmp) is buf
             assert np.all(np.signbit(want) == (o % 2 == 1))
+
+    @pytest.mark.parametrize("basis", [bases.chebyshev(), bases.jacobi(2.0, 1.5)],
+                             ids=lambda b: b.label())
+    def test_index_arrays_and_skewed_blocks(self, basis):
+        # the pad rows index o by an array at one k, the mirror takes a block
+        # of offsets by slices: both give each entry's 1-D bits
+        nmax, omax = 300, 40
+        ratios = convmat._ratio_tables(basis, nmax, omax)
+        o = np.arange(1, omax + 1)
+        want = [self.sgn_quotient(basis, nmax, 7, 7, j)[0] for j in o]
+        got = convmat._ratio(ratios, o, 7)
+        np.testing.assert_array_equal(got.view(np.int64), np.array(want).view(np.int64))
+        block = convmat._ratio(ratios, slice(3, 9), slice(100, 250))
+        for j in range(3, 9):
+            want = self.sgn_quotient(basis, nmax, 100, 249, j)
+            np.testing.assert_array_equal(block[j - 3].view(np.int64), want.view(np.int64))
 
 
 class TestFlushSubnormal:
@@ -665,6 +682,143 @@ class TestRegionA:
         scale = s * max(np.abs(R.top).max(), np.abs(R.band).max())
         for big, small in ((R.top, Rs.top), (R.band, Rs.band)):
             assert np.abs(small - s * big).max() <= EPS * scale
+
+
+def _bits(R):
+    return R.top.view(np.int64).copy(), R.band.view(np.int64).copy()
+
+
+class TestSplitBuild:
+    """Above the floor a worker zeroes top beside region A and runs region B
+    beside region C; the matrix keeps the inline build's bits."""
+
+    @staticmethod
+    def counted_splits(monkeypatch):
+        splits = []
+        run_split = bases._run_split
+
+        def record(work, parts):
+            splits.append(len(parts))
+            run_split(work, parts)
+
+        monkeypatch.setattr(bases, "_run_split", record)
+        return splits
+
+    @pytest.mark.parametrize("basis", list(APPLY_BASES.values()), ids=list(APPLY_BASES))
+    @pytest.mark.parametrize("M, N", [(0, 0), (3, 1), (5, 12), (40, 60), (200, 50),
+                                      (200, 150), (10, 200)])
+    def test_bits_do_not_depend_on_the_cpu_count(self, basis, M, N, monkeypatch):
+        # every case lies below the floor, so the reference builds inline; a
+        # floor of one byte splits every build over two CPUs or more
+        a = np.random.default_rng(M + 17 * N).uniform(-1, 1, M + 1)
+        scales = (1.0, 1e-300)                  # 1e-300: nothing is flushed
+        want = [_bits(convmat.build(basis, scale * a, N)) for scale in scales]
+        monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1)
+        splits = self.counted_splits(monkeypatch)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(bases, "_cpu_count", lambda cpus=cpus: cpus)
+            for scale, bits in zip(scales, want):
+                splits.clear()
+                for got, ref in zip(_bits(convmat.build(basis, scale * a, N)), bits):
+                    assert np.array_equal(got, ref), (scale, cpus)
+                assert (2 in splits) == (cpus > 1), (scale, cpus)
+
+    @pytest.mark.parametrize("basis", list(APPLY_BASES.values()), ids=list(APPLY_BASES))
+    @pytest.mark.parametrize("M, N, scale", [(40, 60, 1.0), (200, 150, 1.0), (10, 200, 1e-300),
+                                             (30, 400, 1.0)])
+    def test_superdiagonals_are_the_mirror(self, basis, M, N, scale, monkeypatch):
+        # R_{k,k+o} = sgn_quotient * R_{k+o,k}, flushed as the build flushes,
+        # bit for bit; an exact zero may carry either sign where it is written.
+        # band's slots outside R's rows M+1..M+N+1 hold +0.0 only
+        monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 2)
+        R = convmat.build(basis, scale * random_kernel(M, 5), N)
+        d, n = np.indices(R.band.shape)
+        k = n + d - (M + 1)
+        assert not np.any(R.band.view(np.int64)[(k <= M) | (k > M + N + 1)])
+        for o in range(1, M + 2):
+            if N - o < M + 1:
+                continue
+            got = R.band[M + 1 - o, M + 1 + o:N + 1]
+            want = (TestRatioFactors.sgn_quotient(basis, N, M + 1, N - o, o)
+                    * R.band[M + 1 + o, M + 1:N + 1 - o])
+            if scale == 1.0:
+                want[np.abs(want) < TINY] = 0.0
+            nonzero = want != 0.0
+            assert np.array_equal(got[nonzero].view(np.int64), want[nonzero].view(np.int64)), o
+            assert np.all(got[~nonzero] == 0.0), o
+
+    @pytest.mark.parametrize("basis", list(APPLY_BASES.values()), ids=list(APPLY_BASES))
+    @pytest.mark.parametrize("M, N, scale", [(40, 60, 1.0), (200, 150, 1e-300), (60, 300, 1e-300)])
+    def test_pad_rows_are_the_stored_rows(self, basis, M, N, scale, monkeypatch):
+        # region C starts from R's rows M+1 and M+2, formed before region B
+        # stores them: they must equal band's, sign bits included
+        pads, pad_rows = [], convmat._pad_rows
+
+        def record(ratios, M, W, D, ends, flush, pad, t):
+            pad_rows(ratios, M, W, D, ends, flush, pad, t)
+            pads.append(pad.copy())
+
+        monkeypatch.setattr(convmat, "_pad_rows", record)
+        monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 2)
+        R = convmat.build(basis, scale * random_kernel(M, 5), N)
+        for i, r in enumerate((M + 1, M + 2)):
+            n = np.arange(r - M - 1, min(N, r + M + 1) + 1)
+            assert np.array_equal(pads[0][i, n].view(np.int64),
+                                  R.band[r - n + M + 1, n].view(np.int64)), r
+
+    def test_no_pool_below_the_floor(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("the worker pool was used below the floor")
+
+        monkeypatch.setattr(bases, "_pool", no_pool)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
+        for basis in (bases.chebyshev(), bases.legendre()):
+            for M, N in ((10, 200), (10, 7000), (100, 1000), (100, 1200)):
+                R = convmat.build(basis, random_kernel(M, 2), N)
+                assert R.top.nbytes + R.band.nbytes < 2 * convmat._MIN_APPLY_BYTES
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["zero-top", "region-b"])
+    def test_worker_error_reaches_the_caller(self, which, monkeypatch):
+        caller, calls = threading.get_ident(), []
+        run_split = bases._run_split
+
+        def fail_on_worker(*args):
+            if threading.get_ident() != caller:
+                raise FloatingPointError("phase failed")
+
+        def record(work, parts):
+            calls.append(len(parts))
+            if len(calls) == which + 1:
+                parts = [(fail_on_worker,) + tuple(parts[0][1:])] + list(parts[1:])
+            run_split(work, parts)
+
+        monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(bases, "_run_split", record)
+        with pytest.raises(FloatingPointError, match="phase failed"):
+            convmat.build(bases.jacobi(2.0, 1.5), random_kernel(10, 2), 200)
+        assert calls[which] == 2
+        monkeypatch.setattr(bases, "_run_split", run_split)
+        want = _bits(convmat.build(bases.jacobi(2.0, 1.5), random_kernel(10, 2), 200))
+        monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1 << 40)
+        for g, w in zip(want, _bits(convmat.build(bases.jacobi(2.0, 1.5),
+                                                   random_kernel(10, 2), 200))):
+            assert np.array_equal(g, w)
+
+    def test_workers_keep_no_matrix_alive(self, monkeypatch):
+        # a worker that kept its last phase would keep top or band alive
+        # until its next split
+        monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
+        splits = self.counted_splits(monkeypatch)
+        R = convmat.build(bases.jacobi(2.0, 1.5), random_kernel(10, 2), 300)
+        assert splits == [2, 2]
+        alive = [weakref.ref(R.top), weakref.ref(R.band if R.band.base is None else R.band.base)]
+        del R
+        gc.collect()
+        assert [ref() for ref in alive] == [None, None]
 
 
 def test_build_memory_is_its_work_arrays(finite_basis):
