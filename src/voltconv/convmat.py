@@ -327,8 +327,8 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     work = np.empty((2, Wp + 1))         # scratch rows, shared by the phases
     if flush:
         _flush_subnormal(col0, work[0])
-    # region C writes all of top but past a banded basis' band, whose top
-    # stays calloc's: the pages past its band are never touched
+    # a worker zeroes top beside region A, taking its page faults off region
+    # C; a banded top stays calloc's, as region C never writes past its band
     split = bases._workers(8 * ((M + 1) * (N + 1) + (2 * M + 3) * (W + 1)), 2,
                            _MIN_APPLY_BYTES) > 1
     zero = split and not banded
