@@ -807,6 +807,35 @@ class TestSplitBuild:
                                                    random_kernel(10, 2), 200))):
             assert np.array_equal(g, w)
 
+    def test_concurrent_builds_keep_their_bits(self, monkeypatch):
+        # two calling threads split their builds over one pool, switching
+        # often: a build that finds the pool busy runs its phases inline
+        cases = [(basis, random_kernel(M, seed), N) for seed, (basis, M, N) in enumerate(
+            ((bases.jacobi(2.0, 1.5), 40, 300), (bases.chebyshev(), 10, 500)))]
+        want = [_bits(convmat.build(*case)) for case in cases]
+        monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
+        bad = []
+
+        def run(case, bits):
+            for _ in range(30):
+                got = _bits(convmat.build(*case))
+                if not all(np.array_equal(g, w) for g, w in zip(got, bits)):
+                    bad.append(case)
+
+        threads = [threading.Thread(target=run, args=pair) for pair in zip(cases, want)]
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not bad
+
     def test_workers_keep_no_matrix_alive(self, monkeypatch):
         # a worker that kept its last phase would keep top or band alive
         # until its next split
