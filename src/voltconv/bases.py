@@ -393,10 +393,11 @@ def _run_split(work, parts) -> None:
     (which would spread them over per-thread malloc arenas) nor enter a
     public function that a caller may have wrapped.  Each worker runs in a
     copy of the caller's contextvars context, so np.errstate carries over.
-    The caller waits for every worker before it returns or raises, and the
-    first worker exception, in part order, is raised on the caller.  Workers
-    never wait on the pool: a split that finds it busy, a nested one
-    included, runs inline instead of queueing.
+    A part should take the GIL only a handful of times, because each turn
+    stalls the caller's numpy loop.  The caller waits for every worker before
+    it returns or raises, and the first worker exception, in part order, is
+    raised on the caller.  Workers never wait on the pool: a split that finds
+    it busy, a nested one included, runs inline instead of queueing.
     """
     if len(parts) == 1 or not _POOL_LOCK.acquire(blocking=False):
         for part in parts:

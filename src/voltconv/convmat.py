@@ -24,7 +24,9 @@ Column 0 and regions A and C read one RecurrenceTables per basis, with no
 per-basis branch.  Entries below finfo.tiny are stored as exact zeros (see
 build), and region A stops each offset at its last nonzero entry.  Above a
 size floor a shared worker (bases._run_split) zeroes top beside region A and
-runs region B beside region C, with the same bits as inline.  apply() reads
+runs region B beside region C in a few blocks of up to 64 padded rows and
+4.25 MiB of scratch (_mirror_blocks), unless a banded region C is too short
+to hide it; the bits are the same as inline.  apply() reads
 the band through zero-copy scipy.sparse DIA views of its row blocks
 (ConvMatrix._row_blocks), one per CPU on the shared workers above a floor,
 cut at equal costs with a top entry at _TOP_COST of a band entry, with the
@@ -62,13 +64,9 @@ _TINY = np.finfo(float).tiny
 # than they save on smaller matrices (timings in CHANGES.md).
 _MIN_APPLY_BYTES = 1 << 21
 
-# The time apply takes to read an entry of top, in entries of band, for the
-# cuts of its row blocks (ConvMatrix._row_blocks): top goes through one BLAS
-# product, band through scipy's slower DIA pass.  Medians per apply against
-# 1.0 (2-vCPU x86_64 VM, one BLAS thread, 21 interleaved rounds): 0.6 took
-# (1000, 5000) from 8.20 to 7.06 ms (Chebyshev) and from 7.89 to 7.08 ms
-# (Legendre), where 0.5, 0.7 and 0.8 read 7.12-7.62 ms; at (10, 20000)
-# 0.6 to 1.0 lay within the noise on all four finite bases (0.30-0.41 ms).
+# apply's time per entry of top, in entries of band, for the cuts of its row
+# blocks: top goes through one BLAS product, band through scipy's slower DIA
+# pass (timings in CHANGES.md).
 _TOP_COST = 0.6
 
 
@@ -304,8 +302,10 @@ def _size(N, name: str = "N") -> int:
 
 def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     """Stable construction of the convolution matrix for any supported basis;
-    it allocates top and band (as returned when N >= M+2) and a few rows.  A
-    worker zeroes top beside region A and runs region B beside region C."""
+    it allocates top and band (as returned when N >= M+2), a few rows, and
+    the scratch of region B's blocks: 8 padded rows inline, up to 64 padded
+    rows within 4.25 MiB split (_mirror_blocks).  A worker zeroes top beside
+    region A and runs region B beside region C."""
     a, N = _kernel_and_size(a, N)
     if not math.isfinite(scale):
         raise ArgumentError(f"scale must be finite (got {scale!r})")
@@ -328,10 +328,13 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     if flush:
         _flush_subnormal(col0, work[0])
     # a worker zeroes top beside region A, taking its page faults off region
-    # C; a banded top stays calloc's, as region C never writes past its band
+    # C; a banded top stays calloc's, as region C never writes past its band.
+    # Region B goes beside region C unless C is banded and its rows (M+2
+    # entries) are under an eighth of B's: the worker would outlast it
     split = bases._workers(8 * ((M + 1) * (N + 1) + (2 * M + 3) * (W + 1)), 2,
                            _MIN_APPLY_BYTES) > 1
     zero = split and not banded
+    beside = split and (not banded or 8 * (M + 2) >= W - M - 1)
     top = np.empty((M + 1, N + 1)) if zero else np.zeros((M + 1, N + 1))
     band = np.zeros((2 * M + 3, W + 1))  # rows >= M+1, |k-n| <= M+1, cols 0..W
     D = band[M + 1:]                     # D[d, c] = R_{c+d, c}: region A, col 0
@@ -343,13 +346,13 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     pad = np.zeros((2, Wp + 1))
     ratios = _ratio_tables(basis, Wp, M + 1)
     _pad_rows(ratios, M, W, D, ends, flush, pad, work[0])
-    mirror = _mirror_blocks(M, W, Wp, band, ends)
+    mirror = _mirror_blocks(M, W, Wp, band, ends, beside)
 
     # region C: dense top rows swept upward by the recast recursion.  The
     # sweep includes row 0 (the k = 1 step; Chebyshev's A_1 = 1 halves it):
     # reconstructing row 0 from the boundary sum instead would amplify band
     # roundoff by the boundary weights, ~n^(2 lam - 1) for Gegenbauer.
-    _phases(split, (_mirror, ratios, M, flush, *mirror),
+    _phases(beside, (_mirror, ratios, M, flush, *mirror),
             (_sweep_region_c, tables, M, N, col0, D, pad, top, banded, flush, work))
 
     # the recast forms are singular at n = 1 for Chebyshev, so column 1's
@@ -483,17 +486,26 @@ def _pad_rows(ratios, M, W, D, ends, flush, pad, t):
         x[:m][r > np.asarray(ends[1:m + 1])] = 0.0
 
 
-def _mirror_blocks(M, W, Wp, band, ends):
+def _mirror_blocks(M, W, Wp, band, ends, beside):
     """_mirror's last arguments: source D[o, k] and destination band[M+1-o, k+o]
     as [o-1, k-M-1] views, blocks (offsets j0+1..j1, columns), each offset's
-    last k-M-1 (lim), column numbers and three block buffers.  A block is whole
-    offsets in at most 8 padded rows: fewer take the GIL from region C less."""
+    last k-M-1 (lim), column numbers and three block buffers.
+
+    A block is whole offsets in at most 8 padded rows (Wp+1 entries each)
+    inline.  Beside region C it takes up to 64 padded rows, within 2^18
+    entries where 8 padded rows fit: the worker takes the GIL about eight
+    times per block, and each turn stalls one of region C's short numpy
+    calls, so a few large blocks (13 at M = 1000, N = 5000, not 70) hide
+    the mirror behind C.  The buffers take 17 bytes per entry of the largest
+    block: 8 padded rows' worth inline, and beside region C at most the
+    larger of that and 4.25 MiB."""
     cols = W - M - 1
     s0, s1 = band.strides
     src = band[M + 2:, M + 1:W]
     dst = np.lib.stride_tricks.as_strided(band[M, M + 2:], (M + 1, cols), (s1 - s0, s1))
     lim = np.minimum(W - np.arange(1, M + 2), ends[1:M + 2])[:, None] - (M + 1)
-    rows = 8 * (Wp + 1) // cols
+    size = 8 * (Wp + 1)
+    rows = (max(size, min(8 * size, 1 << 18)) if beside else size) // cols
     blocks = [(j, min(j + rows, M + 1), int(last) + 1) for j in range(0, M + 1, rows)
               if (last := lim[j:j + rows].max()) >= 0]
     size = max([(j1 - j0) * n for j0, j1, n in blocks], default=0)

@@ -706,22 +706,31 @@ class TestSplitBuild:
 
     @pytest.mark.parametrize("basis", list(APPLY_BASES.values()), ids=list(APPLY_BASES))
     @pytest.mark.parametrize("M, N", [(0, 0), (3, 1), (5, 12), (40, 60), (200, 50),
-                                      (200, 150), (10, 200)])
+                                      (200, 150), (10, 200), (200, 1000)])
     def test_bits_do_not_depend_on_the_cpu_count(self, basis, M, N, monkeypatch):
         # every case lies below the floor, so the reference builds inline; a
-        # floor of one byte splits every build over two CPUs or more
+        # floor of one byte splits every build over two CPUs or more, except
+        # that Legendre's banded region C at (10, 200), with rows under an
+        # eighth of region B's, keeps region B inline.  At (200, 1000) the
+        # mirror runs in several blocks, split or not
         a = np.random.default_rng(M + 17 * N).uniform(-1, 1, M + 1)
         scales = (1.0, 1e-300)                  # 1e-300: nothing is flushed
         want = [_bits(convmat.build(basis, scale * a, N)) for scale in scales]
         monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1)
-        splits = self.counted_splits(monkeypatch)
+        splits, blocks, mirror = self.counted_splits(monkeypatch), [], convmat._mirror
+        monkeypatch.setattr(convmat, "_mirror", lambda *args: (blocks.append(len(args[5])),
+                                                               mirror(*args)))
+        short_c = basis.kind == bases.LEGENDRE and (M, N) == (10, 200)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(bases, "_cpu_count", lambda cpus=cpus: cpus)
             for scale, bits in zip(scales, want):
                 splits.clear()
+                blocks.clear()
                 for got, ref in zip(_bits(convmat.build(basis, scale * a, N)), bits):
                     assert np.array_equal(got, ref), (scale, cpus)
-                assert (2 in splits) == (cpus > 1), (scale, cpus)
+                assert (2 in splits) == (cpus > 1 and not short_c), (scale, cpus)
+                if (M, N) == (200, 1000):
+                    assert blocks[0] >= 2, (scale, cpus)
 
     @pytest.mark.parametrize("basis", list(APPLY_BASES.values()), ids=list(APPLY_BASES))
     @pytest.mark.parametrize("M, N, scale", [(40, 60, 1.0), (200, 150, 1.0), (10, 200, 1e-300),
@@ -865,6 +874,27 @@ def test_build_memory_is_its_work_arrays(finite_basis):
         tracemalloc.stop()
     work = 8 * ((M + 1) * (N + 1) + (2 * M + 3) * (N + 1) + 16 * (N + M + 2))
     assert peak <= 1.1 * work, peak / work
+
+
+def test_split_build_memory_is_its_work_arrays_and_scratch(finite_basis, monkeypatch):
+    # split, the build adds to its work arrays only the scratch of region
+    # B's blocks beside region C: 17 bytes per entry, at most 64 padded rows
+    M, N = 200, 300
+    a = random_kernel(M, 3)
+    monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1)
+    monkeypatch.setattr(bases, "_cpu_count", lambda: 2)
+    splits = TestSplitBuild.counted_splits(monkeypatch)
+    convmat.build(finite_basis, a, N)         # LAPACK's import is not traced
+    tracemalloc.start()
+    try:
+        convmat.build(finite_basis, a, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 in splits
+    work = 8 * ((M + 1) * (N + 1) + (2 * M + 3) * (N + 1) + 16 * (N + M + 2))
+    scratch = 17 * 64 * (N + M + 2)
+    assert peak <= 1.1 * work + scratch, (peak - 1.1 * work) / scratch
 
 
 def test_region_a_solves_few_subnormals(monkeypatch):
