@@ -495,17 +495,17 @@ def _mirror_blocks(M, W, Wp, band, ends, beside):
     inline.  Beside region C it takes up to 64 padded rows, within 2^18
     entries where 8 padded rows fit: the worker takes the GIL about eight
     times per block, and each turn stalls one of region C's short numpy
-    calls, so a few large blocks (13 at M = 1000, N = 5000, not 70) hide
-    the mirror behind C.  The buffers take 17 bytes per entry of the largest
-    block: 8 padded rows' worth inline, and beside region C at most the
-    larger of that and 4.25 MiB."""
+    calls, so a few large blocks (13 at M = 1000, N = 5000, not about 70)
+    hide the mirror behind C.  The buffers take 17 bytes per entry of the
+    largest block: 8 padded rows' worth inline, and beside region C at most
+    the larger of that and 4.25 MiB."""
     cols = W - M - 1
     s0, s1 = band.strides
     src = band[M + 2:, M + 1:W]
     dst = np.lib.stride_tricks.as_strided(band[M, M + 2:], (M + 1, cols), (s1 - s0, s1))
     lim = np.minimum(W - np.arange(1, M + 2), ends[1:M + 2])[:, None] - (M + 1)
-    size = 8 * (Wp + 1)
-    rows = (max(size, min(8 * size, 1 << 18)) if beside else size) // cols
+    inline = 8 * (Wp + 1)                # most entries of an inline block
+    rows = (max(inline, min(8 * inline, 1 << 18)) if beside else inline) // cols
     blocks = [(j, min(j + rows, M + 1), int(last) + 1) for j in range(0, M + 1, rows)
               if (last := lim[j:j + rows].max()) >= 0]
     size = max([(j1 - j0) * n for j0, j1, n in blocks], default=0)

@@ -718,8 +718,12 @@ class TestSplitBuild:
         want = [_bits(convmat.build(basis, scale * a, N)) for scale in scales]
         monkeypatch.setattr(convmat, "_MIN_APPLY_BYTES", 1)
         splits, blocks, mirror = self.counted_splits(monkeypatch), [], convmat._mirror
-        monkeypatch.setattr(convmat, "_mirror", lambda *args: (blocks.append(len(args[5])),
-                                                               mirror(*args)))
+
+        def counted_mirror(ratios, M, flush, src, dst, mirror_blocks, *rest):
+            blocks.append(len(mirror_blocks))
+            mirror(ratios, M, flush, src, dst, mirror_blocks, *rest)
+
+        monkeypatch.setattr(convmat, "_mirror", counted_mirror)
         short_c = basis.kind == bases.LEGENDRE and (M, N) == (10, 200)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(bases, "_cpu_count", lambda cpus=cpus: cpus)
