@@ -24,10 +24,8 @@ same doubled grid, which gives the unscaled bits at five stores a step.
 
 The recurrences treat every point on its own, and numpy releases the GIL
 inside their ufunc loops, so the Clenshaw sum and the oracle's grid
-recurrences split their points over one thread per CPU, above a floor.
-They, and convmat.apply's row blocks, run on the calling thread and on
-worker threads that live for the process, each woken through one lock and
-waited for through another (_pool, _run_split).
+recurrences split their points over the CPUs above a floor, as convmat splits
+its build and apply, under _run_split's threading contract.
 """
 
 from __future__ import annotations
@@ -317,6 +315,16 @@ def _workers(nbytes: int, rows: int, floor: int = _MIN_RANGE_BYTES) -> int:
     return 1 if most < 2 else min(_cpu_count(), most)
 
 
+def _cuts(cost: np.ndarray, parts: int) -> list:
+    """[(lo, hi)]: items 0..len(cost)-2 in at most ``parts`` runs at equal
+    shares of the increasing cumulative cost (cost[i] before item i); the
+    ends are pinned, as cost[-1] * parts / parts may round past cost[-1]."""
+    ends = np.searchsorted(cost, cost[-1] * np.arange(parts + 1) / parts)
+    ends[0], ends[-1] = 0, len(cost) - 1
+    ends = np.unique(ends).tolist()
+    return list(zip(ends, ends[1:]))
+
+
 _POOL_THREAD_PREFIX = "voltconv-pool"
 
 
@@ -388,16 +396,18 @@ def _run_split(work, parts) -> None:
     calling thread; all inline when there is one part, or when another
     split holds the workers.
 
-    Every buffer a part names is allocated by the caller, and ``work`` calls
-    private functions only: the workers neither allocate the large arrays
-    (which would spread them over per-thread malloc arenas) nor enter a
-    public function that a caller may have wrapped.  Each worker runs in a
-    copy of the caller's contextvars context, so np.errstate carries over.
-    A part should take the GIL only a handful of times, because each turn
-    stalls the caller's numpy loop.  The caller waits for every worker before
-    it returns or raises, and the first worker exception, in part order, is
-    raised on the caller.  Workers never wait on the pool: a split that finds
-    it busy, a nested one included, runs inline instead of queueing.
+    The threading contract, which every caller keeps: each buffer a part
+    names is allocated by the caller, and ``work`` calls private functions
+    only, so the workers neither allocate the large arrays (which would
+    spread them over per-thread malloc arenas) nor enter a public function
+    that a caller may have wrapped; a part takes the GIL only a handful of
+    times, as each turn stalls the caller's numpy loop; and the bits do not
+    depend on the part count.  Each worker runs in a copy of the caller's
+    contextvars context, so np.errstate carries over.  The caller waits for
+    every worker before it returns or raises, and the first worker
+    exception, in part order, is raised on the caller.  Workers never wait
+    on the pool: a split that finds it busy, a nested one included, runs
+    inline instead of queueing.
     """
     if len(parts) == 1 or not _POOL_LOCK.acquire(blocking=False):
         for part in parts:

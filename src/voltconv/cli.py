@@ -170,27 +170,22 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _verify_once(basis, M, N, seed, out):
-    a = random_kernel(M, seed)
-    R = convmat.build(basis, a, N)
-    f = series.PolySeries(basis, (-1.0, 1.0), a)
-    if M + N <= oracle.COEFF_ORACLE_CAP:
-        cols = oracle.conv_coeff_block(f, N, extended=True)
-        rep = oracle.compare_entrywise(R, cols, meta={"seed": seed})
-    else:
-        rep = oracle.sampled_value_errors(R, f, 500, seed)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(oracle.report_to_csv(rep))
-    print(f"max_abs {rep.max_abs:.17g}", file=sys.stderr)
-    return rep
-
-
 def _cmd_verify(args) -> int:
     basis = _basis_from_flags(args)
     if not basis.finite_interval:
         raise VoltconvError("verify covers the finite-interval builders")
-    _verify_once(basis, args.M, args.N, args.seed, args.out)
+    a = random_kernel(args.M, args.seed)
+    R = convmat.build(basis, a, args.N)
+    f = series.PolySeries(basis, (-1.0, 1.0), a)
+    if args.M + args.N <= oracle.COEFF_ORACLE_CAP:
+        cols = oracle.conv_coeff_block(f, args.N, extended=True)
+        rep = oracle.compare_entrywise(R, cols, meta={"seed": args.seed})
+    else:
+        rep = oracle.sampled_value_errors(R, f, 500, args.seed)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(oracle.report_to_csv(rep))
+    print(f"max_abs {rep.max_abs:.17g}", file=sys.stderr)
     return 0
 
 

@@ -23,18 +23,14 @@ diagonal / row:
 Column 0 and regions A and C read one RecurrenceTables per basis, with no
 per-basis branch.  Entries below finfo.tiny are stored as exact zeros (see
 build), and region A stops each offset at its last nonzero entry.  Above a
-size floor a shared worker (bases._run_split) zeroes top beside region A and
-runs region B beside region C in a few blocks of up to 64 padded rows and
-4.25 MiB of scratch (_mirror_blocks), unless a banded region C is too short
-to hide it; the bits are the same as inline.  apply() reads
-the band through zero-copy scipy.sparse DIA views of its row blocks
-(ConvMatrix._row_blocks), one per CPU on the shared workers above a floor,
-cut at equal costs with a top entry at _TOP_COST of a band entry, with the
-same bits for any number of blocks; every reader of the packed storage
-lives in this module.
+size floor a shared worker zeroes top beside region A and runs region B
+beside region C (_mirror_blocks), unless a banded region C is too short to
+hide it, and apply() runs one row block per CPU, each a zero-copy DIA view of
+band (ConvMatrix._row_blocks), both under bases._run_split's threading
+contract.  Every reader of the packed storage lives in this module.
 
-The naive single-recursion builder is kept for error-growth studies; above
-the main diagonal its multipliers exceed 1 and roundoff snowballs.
+The naive builder, kept for error-growth studies, runs region A's column
+step (_column_step) over whole columns.
 """
 
 from __future__ import annotations
@@ -80,8 +76,7 @@ class ConvMatrix:
     (l = u = M+1) of R's rows >= M+1, with zeros wherever k <= M or
     k > M+N+1.  Everything else is a structural zero.  ``scale`` is the
     domain-length Jacobian applied by apply()/to_dense(); the stored
-    entries are always for the canonical interval.  ``_row_blocks`` views
-    band's row blocks as scipy.sparse DIA arrays without copying it.
+    entries are always for the canonical interval.
     """
 
     basis: BasisSpec
@@ -125,14 +120,12 @@ class ConvMatrix:
         if views is None:
             from scipy.sparse import dia_array
             M, N = self.M, self.N
-            reads = np.cumsum(np.minimum(2 * M + 2, N - np.arange(N + 1)) + 1)
-            reads = reads + _TOP_COST * (M + 1) * (N + 1)
-            cuts = np.searchsorted(reads, reads[-1] * np.arange(1, parts) / parts)
-            cuts = np.unique(np.concatenate([[0], cuts, [N + 1]]))
+            reads = np.minimum(2 * M + 2, N - np.arange(N + 1)) + 1.0
+            reads[0] += _TOP_COST * (M + 1) * (N + 1)
             offsets = np.arange(2 * M + 2, -1, -1)
             views = self._views[parts] = [
                 (lo, dia_array((self.band, offsets + lo), shape=(hi - lo, N + 1)))
-                for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
+                for lo, hi in bases._cuts(np.concatenate([[0.0], np.cumsum(reads)]), parts)]
         return views
 
     def entry(self, k: int, n: int) -> float:
@@ -276,6 +269,21 @@ def _column0(basis: BasisSpec, a: np.ndarray, tables: RecurrenceTables) -> np.nd
     return col
 
 
+def _column_step(tables, n, k, col, prev, col0):
+    """Rows k (an int array, k >= 1) of column n+1 by the column recursion
+      R_{k,n+1} = (B_k - B_n)/A_{n+1} R_{k,n} + A_k/A_{n+1} R_{k-1,n} + C_k/A_{n+1} R_{k+1,n}
+                  + shat_n R_{k,0} - C_{n-1}/A_{n+1} R_{k,n-1},
+    in that order, the last term from n = 1 on.  col, prev and col0 are
+    columns n, n-1 and 0 by row, zero-padded through row max(k) + 1."""
+    A, B, C = tables.A, tables.B, tables.C
+    invA = 1.0 / A[n + 1]
+    out = ((B[k] - B[n]) * invA) * col[k] + (A[k] * invA) * col[k - 1] \
+        + (C[k] * invA) * col[k + 1] + tables.shat[n] * col0[k]
+    if n > 0:
+        out -= (C[n - 1] * invA) * prev[k]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the stable four-phase build
 
@@ -303,9 +311,7 @@ def _size(N, name: str = "N") -> int:
 def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     """Stable construction of the convolution matrix for any supported basis;
     it allocates top and band (as returned when N >= M+2), a few rows, and
-    the scratch of region B's blocks: 8 padded rows inline, up to 64 padded
-    rows within 4.25 MiB split (_mirror_blocks).  A worker zeroes top beside
-    region A and runs region B beside region C."""
+    the scratch of region B's blocks (_mirror_blocks)."""
     a, N = _kernel_and_size(a, N)
     if not math.isfinite(scale):
         raise ArgumentError(f"scale must be finite (got {scale!r})")
@@ -391,16 +397,12 @@ def _region_a(tables, M, W, col0, D, flush, t, ends):
     entries), which also takes |x| for the flush; ends has M+4 entries -2.
     """
     from scipy.linalg.lapack import dtbtrs
-    A, B, C, shat = tables.A, tables.B, tables.C, tables.shat
-    Ainv, Cinv = tables.Ainv, tables.Cinv
+    B, shat, Ainv, Cinv = tables.B, tables.shat, tables.Ainv, tables.Cinv
     D[:, 0] = col0
     # column 1 by the column step from column 0: it feeds the boundary sum
     # for top[0, 1], which amplifies its rounding
-    k = np.arange(1, M + 3)
     c0 = np.concatenate([col0, [0.0, 0.0]])
-    invA1 = 1.0 / A[1]
-    D[:, 1] = ((B[k] - B[0]) * invA1) * c0[1:M + 3] + (A[k] * invA1) * c0[:M + 2] \
-        + (C[k] * invA1) * c0[2:] + shat[0] * c0[1:M + 3]
+    D[:, 1] = _column_step(tables, 0, np.arange(1, M + 3), c0, None, c0)
     Ac = Ainv[2:W + 1]                    # 1 / A_c for c = 2..W at index c - 2
     AcC = Ac / Cinv[:W - 1]               # C_{c-2} / A_c, the same for every d
     negAinv = -Ainv
@@ -607,8 +609,6 @@ def symmetry_ratio(basis: BasisSpec, n: int, k: int) -> float:
     """Factor rho with R_{n,k} = rho * R_{k,n} in the symmetric submatrix."""
     if not basis.finite_interval:
         raise UnsupportedBasisError("symmetry ratio needs a finite-interval basis")
-    if basis.kind == bases.CHEBYSHEV and n == 0:
-        raise ArgumentError("Chebyshev symmetry ratio needs n >= 1")
     if n < 1 or k < 1:
         raise ArgumentError("symmetry ratio needs n, k >= 1")
     if n == k:
@@ -640,38 +640,23 @@ def build_jacobi(a, alpha: float, beta: float, N: int, scale: float = 1.0) -> Co
 def build_chebyshev_naive(a, N: int) -> np.ndarray:
     """Column-by-column forward recursion only; unstable above the diagonal.
 
-    Returns a dense array.  Non-finite values are possible by design (the
-    multipliers (n+1)/k exceed 1 above the diagonal and roundoff compounds
-    factorially); callers inspect rather than trap.
+    Each column is region A's column step over all its rows, with row 0
+    from the boundary sum.  Returns a dense array.  Non-finite values are
+    possible by design (the multipliers (n+1)/k exceed 1 above the diagonal
+    and roundoff compounds factorially); callers inspect rather than trap.
     """
     a, N = _kernel_and_size(a, N)
     M = a.size - 1
-    R = np.zeros((M + N + 2, N + 1))
-    col0 = _column0(bases.chebyshev(), a, _chebyshev_tables(M + 1))
-    R[:M + 2, 0] = col0
-    wts = -bases.values_at_minus_one(bases.chebyshev(), M + N + 2)
-    for c in range(1, N + 1):
-        hi = min(M + c + 1, M + N + 1)
-        k = np.arange(1, hi + 1, dtype=float)
-        km1 = R[0:hi, c - 1].copy()
-        km1[0] *= 2.0                               # doubled when k = 1
-        kp1 = np.zeros(hi)
-        take = min(hi + 2, M + N + 2) - 2
-        kp1[:take] = R[2:2 + take, c - 1]
-        c0s = np.zeros(hi)
-        m = min(M + 1, hi)
-        c0s[:m] = col0[1:m + 1]
-        if c == 1:
-            R[1:hi + 1, 1] = -c0s + (km1 - kp1) / (2.0 * k)
-        elif c == 2:
-            R[1:hi + 1, 2] = c0s + (2.0 / k) * (km1 - kp1)
-        else:
-            n = c - 1.0
-            R[1:hi + 1, c] = (2.0 * (-1.0) ** (c - 1) / (n - 1.0)) * c0s \
-                + (c / (n - 1.0)) * R[1:hi + 1, c - 2] \
-                + (c / k) * (km1 - kp1)
-        R[0, c] = np.dot(wts[1:hi + 1], R[1:hi + 1, c])
-    return R
+    tables = _chebyshev_tables(M + N)
+    R = np.zeros((M + N + 3, N + 1))       # a zero row past the last: R_{k+1,n}
+    R[:M + 2, 0] = _column0(bases.chebyshev(), a, tables)
+    wts = -bases.values_at_minus_one(bases.chebyshev(), M + N + 1)
+    for n in range(N):
+        hi = min(M + n + 2, M + N + 1)     # column n+1's last nonzero row
+        R[1:hi + 1, n + 1] = _column_step(tables, n, np.arange(1, hi + 1), R[:, n],
+                                          R[:, n - 1], R[:, 0])
+        R[0, n + 1] = np.dot(wts[1:hi + 1], R[1:hi + 1, n + 1])
+    return R[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +700,8 @@ def apply(R: ConvMatrix, b) -> np.ndarray:
 
     b may be shorter than N+1 (implicitly zero-padded), never longer.  R's
     row blocks (ConvMatrix._row_blocks), one per CPU but none with less
-    than _MIN_APPLY_BYTES of top and band, run on the caller and the shared
-    pool (bases._run_split); the result has the same bits for any number
-    of blocks.
+    than _MIN_APPLY_BYTES of top and band, run under bases._run_split's
+    threading contract.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 1:

@@ -18,23 +18,14 @@ than float64, the extended tier refuses (NarrowLongdoubleError) rather
 than run in double.
 
 The two grid recurrences, h_n at the projection nodes (_h_values) and p_n
-at the sampled points (_pn_rows), treat every grid row on its own, and
-numpy releases the GIL inside their ufunc loops.  Each call splits the rows
-over one thread per CPU the process may use, but none with less than
-bases._MIN_RANGE_BYTES of grid: the calling thread runs one part and the
-shared pool that lives for the process the others (bases._run_split);
-the result has the same bits for any thread count.
-The kernel's values on the grid come from series.clenshaw, which splits its
-points the same way.  The projection (_project_columns) is one product per
+at the sampled points (_pn_rows), and series.clenshaw, which gives the
+kernel's values on the grid, split their rows over the CPUs above a floor
+(bases._workers).  The projection (_project_columns) is one product per
 block of 16 columns over the rows up to the block's last degree, so it
 skips most of the entries past each column's degree; numpy's dot lets go
-of the GIL, and the blocks are dealt in runs of equal kept entries to the
-calling thread and the pool, with the same bits for any thread count.
-Every buffer the workers write is allocated by the caller before the
-split, and the workers call private functions only: the public
-series.clenshaw and the recurrence tables run on the calling thread, so a
-wrapper that a caller puts around a public voltconv function is only ever
-entered from that thread.
+of the GIL, and the blocks are dealt in runs of equal kept entries
+(bases._cuts).  All of these splits keep bases._run_split's threading
+contract.
 """
 
 from __future__ import annotations
@@ -105,18 +96,16 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
     VT = np.ascontiguousarray(V.T)
     norms = np.einsum("jk,jk->k", V, V)
     # Blocks of _BLOCK_COLUMNS columns, whatever the part count, so that the
-    # double tier's BLAS products have the same shapes and bits; each part is
-    # a run of blocks, cut at equal shares of the kept entries (M+n+2 in
-    # column n, so edge(edge + 2M + 3) / 2 before a block's first column).
+    # double tier's BLAS products keep their shapes and bits, in runs of equal
+    # kept entries: M+n+2 in column n, edge(edge + 2M + 3) / 2 before a block.
     edges = np.append(np.arange(0, N + 1, _BLOCK_COLUMNS), N + 1)
     kept = edges * (edges + 2 * M + 3) // 2
-    parts = bases._workers(WH.nbytes, len(edges) - 1)
-    cuts = edges[np.unique(np.searchsorted(kept, kept[-1] * np.arange(parts + 1) / parts))]
+    runs = bases._cuts(kept, bases._workers(WH.nbytes, len(edges) - 1))
     below = np.tri(_BLOCK_COLUMNS, _BLOCK_COLUMNS, -1, dtype=bool)
     out = np.zeros((K + 1, N + 1))
     bases._run_split(_project_columns, [
         (M, VT, WH, norms, lo, hi, np.empty((M + hi + 1) * _BLOCK_COLUMNS, VT.dtype),
-         below, out) for lo, hi in zip(cuts, cuts[1:])])
+         below, out) for lo, hi in (edges[[i, j]] for i, j in runs)])
     return out
 
 
@@ -143,11 +132,8 @@ def _project_columns(M, VT, WH, norms, lo, hi, buf, below, out):
 
 
 def _h_values(f: PolySeries, y: np.ndarray, q: int, N: int):
-    """H[n, j] = h_n(y_j): the q-point rule on [-1, y_j] applied to p_n.
-
-    The nodes y_j are cut into contiguous blocks, one per thread
-    (bases._run_split).
-    """
+    """H[n, j] = h_n(y_j): the q-point rule on [-1, y_j] applied to p_n, with
+    the nodes y_j cut into contiguous blocks, one per thread."""
     t, G = _kernel_on_grid(f, y, q)
     t += t                    # the doubled grid that the scaled recurrence reads
     tables = bases._step_tables(f.basis, N, t.dtype.type)
@@ -300,9 +286,8 @@ def _pn_rows(basis: BasisSpec, t: np.ndarray, ncols: np.ndarray) -> np.ndarray:
     individual degrees).  The sorted rows are dealt round-robin into one
     group per thread, so that every group gets the same mix of degrees, and
     gathered so that each group's rows are contiguous; each thread runs the
-    shrinking-prefix loop on its own group (bases._run_split).  The buffers,
-    the tables and each group's degree boundaries are all made here, on the
-    calling thread, and the workers call private functions only.
+    shrinking-prefix loop on its own group, under bases._run_split's
+    threading contract.
     """
     if basis.kind == bases.CHEBYSHEV:
         theta = np.arccos(t)

@@ -94,10 +94,7 @@ def clenshaw(basis: BasisSpec, coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
     unscaled six.  The result is a new array of y's shape.  Every point is
     summed on its own, so the points are split into contiguous ranges, one
     per CPU the process may use but none smaller than
-    bases._MIN_RANGE_BYTES, and each range is summed on its own thread: the
-    caller's or one of the shared pool's (bases._run_split); the bits do not
-    depend on the thread count.  The tables, y2, the result and the two
-    scratch arrays are made here, on the calling thread.
+    bases._MIN_RANGE_BYTES, under bases._run_split's threading contract.
     """
     y = bases._float_array(y)
     c = np.asarray(coeffs).astype(y.dtype)
@@ -297,12 +294,9 @@ def series_from_json(text: str) -> PolySeries:
 
 
 def series_to_csv(series: PolySeries) -> str:
-    lines = [f"# basis: {series.basis.kind}"]
-    if series.basis.kind == bases.GEGENBAUER:
-        lines.append(f"# lambda: {series.basis.lam:.17g}")
-    elif series.basis.kind == bases.JACOBI:
-        lines.append(f"# alpha: {series.basis.alpha:.17g}")
-        lines.append(f"# beta: {series.basis.beta:.17g}")
+    params = _basis_to_json(series.basis)
+    lines = [f"# basis: {params.pop('kind')}"]
+    lines.extend(f"# {key}: {value:.17g}" for key, value in params.items())
     a, b = series.domain
     dom = "0 inf" if math.isinf(b) else f"{a:.17g} {b:.17g}"
     lines.append(f"# domain: {dom}")

@@ -139,9 +139,10 @@ class TestSymmetryRatio:
     def test_chebyshev_value(self):
         assert convmat.symmetry_ratio(bases.chebyshev(), 3, 4) == pytest.approx(-4 / 3)
 
-    def test_chebyshev_n0_rejected(self):
-        with pytest.raises(ArgumentError):
-            convmat.symmetry_ratio(bases.chebyshev(), 0, 4)
+    def test_index_zero_rejected(self, finite_basis):
+        for n, k in ((0, 4), (4, 0), (0, 0)):
+            with pytest.raises(ArgumentError, match="n, k >= 1"):
+                convmat.symmetry_ratio(finite_basis, n, k)
 
     def test_jacobi_product_vs_quotient(self):
         al, be = 2.0, 1.5
@@ -374,6 +375,14 @@ class TestNaive:
         Dn = convmat.build_chebyshev_naive([1.0], 2)
         Ds = convmat.to_dense(convmat.build_chebyshev([1.0], 2))
         np.testing.assert_allclose(Dn, Ds, atol=1e-15)
+        # on and below the diagonal the multipliers are <= 1, so there the
+        # two agree; the blow-up witnesses alone would pass a naive builder
+        # that read a wrong table entry
+        for M, N in ((10, 50), (5, 30), (30, 10), (100, 40)):
+            a = random_kernel(M, 1)
+            Dn = convmat.build_chebyshev_naive(a, N)
+            Ds = convmat.to_dense(convmat.build_chebyshev(a, N))
+            assert np.tril(np.abs(Dn - Ds)).max() <= 1e-14 * np.abs(Ds).max(), (M, N)
 
     def test_instability_witness(self):
         from voltconv.prng import random_kernel
