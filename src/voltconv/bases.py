@@ -14,13 +14,24 @@ c_k = 4 C_k / (A_k A_{k-1}) (c_0 = 0), the values q_k = p_k / s_k satisfy
 
     q_{k+1} = (x2 + b_k) q_k + c_k q_{k-1},   x2 = x + x (exact),
 
-and each caller multiplies by s_k once per value it keeps.  A step stores
-three arrays per point, four where B is nonzero (Jacobi with
-alpha != beta); the unscaled form stores four and five.  Every Chebyshev
-scale is a power of two, so its bits are those of the unscaled form.
-Weighted Laguerre stays unscaled, since its s_k = 1/(2^k k!) underflows
-near k = 150 in float64: its table carries the multiplier A_k / 2 for the
-same doubled grid, which gives the unscaled bits at five stores a step.
+and each caller multiplies by s_k once per value it keeps.  Every
+Chebyshev scale is a power of two, so its bits are those of the unscaled
+form.  Weighted Laguerre stays unscaled, since its s_k = 1/(2^k k!)
+underflows near k = 150 in float64: its table carries the multiplier
+A_k / 2 for the same doubled grid, which gives the unscaled bits.
+
+Two kernels run the forward step on the same tables (_step_tables).
+_recurrence_step stores three arrays per point, four where b is present
+(Jacobi with alpha != beta) and five for weighted Laguerre; poly_vandermonde,
+_scaled_values and the Gauss rules run it, because their outputs show the
+sign of an exact zero.  _ring_step keeps (q_{k-1}, q_k) in two rows of a
+three-row ring and, where the dtype is wider than double, writes q_{k+1}
+into the third by one np.vecdot over the pair axis, which stores the c_k
+row and the sum (and x2 + b_k where b is present).  Most of a longdouble
+pass is its 80-bit store, so this takes about 0.6 of the three passes'
+time; in float64 the three passes are several times faster than vecdot,
+and the step runs them.  The oracle's grid recurrences, whose outputs
+cannot show the sign of a zero, run _ring_step.
 
 The recurrences treat every point on its own, and numpy releases the GIL
 inside their ufunc loops, so the Clenshaw sum and the oracle's grid
@@ -51,8 +62,9 @@ _KINDS = (CHEBYSHEV, LEGENDRE, GEGENBAUER, JACOBI, WEIGHTED_LAGUERRE)
 
 # The least grid, in bytes, that each thread of a split recurrence gets:
 # 32768 float64 or 16384 longdouble points.  A split hands the GIL over at
-# each ufunc call, which pays at this size in longdouble, where the oracle
-# sums (timings in CHANGES.md).
+# each ufunc call; the oracle's longdouble grid recurrences pay for it from
+# this size, and a longdouble Clenshaw sum from a quarter of it
+# (series._MIN_WIDE_RANGE_BYTES; timings in CHANGES.md).
 _MIN_RANGE_BYTES = 1 << 18
 
 # Degenerate-parameter guard: Jacobi's alpha + beta = -1 (the integration
@@ -183,7 +195,8 @@ def _scaled_tables(A, B, C):
 
 def _step_tables(basis: BasisSpec, n: int, dtype):
     """(s, a, b, c) of q_{k+1} = (a_k x2 + b_k) q_k + c_k q_{k-1}, p_k = s_k q_k,
-    for degrees 0..n-1 (s has n+1 entries), read by _recurrence_step.
+    for degrees 0..n-1 (s has n+1 entries), read by _recurrence_step and
+    _ring_step.
 
     Finite-interval bases get _scaled_tables: a is None, so x's multiplier
     is exactly 2 and a step stores three arrays, four with b.  Weighted
@@ -196,16 +209,21 @@ def _step_tables(basis: BasisSpec, n: int, dtype):
     return np.ones(n + 1, A.dtype), A / 2, B, C
 
 
-def _scaled_product(tables, k: int, x2: np.ndarray, q: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-    """out = (a_k x2 + b_k) q, with the absent a and b skipped; returns out."""
+def _multiplier(tables, k: int, x2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a_k x2 + b_k, with the absent a and b skipped: x2 itself, or out."""
     _, a, b, _ = tables
     xk = x2
     if a is not None:
         xk = np.multiply(x2, a[k], out=out)
     if b is not None:
         xk = np.add(xk, b[k], out=out)
-    return np.multiply(xk, q, out=out)
+    return xk
+
+
+def _scaled_product(tables, k: int, x2: np.ndarray, q: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """out = (a_k x2 + b_k) q, with the absent a and b skipped; returns out."""
+    return np.multiply(_multiplier(tables, k, x2, out), q, out=out)
 
 
 def _recurrence_step(tables, k: int, x2: np.ndarray, q: np.ndarray,
@@ -213,16 +231,76 @@ def _recurrence_step(tables, k: int, x2: np.ndarray, q: np.ndarray,
     """out = (a_k x2 + b_k) q + c_k qm1 = q_{k+1}(x), without allocating.
 
     ``tables`` comes from _step_tables and x2 = x + x; p_{k+1} is
-    s_{k+1} q_{k+1}.  ``out`` may be ``qm1`` (an in-place update); ``tmp``
-    is scratch of x2's shape.  The step stores (x2 + b_k) q into tmp in one
-    array pass, or two with b, then qm1 c_k and the sum into out: three
-    stores, four with b, five for weighted Laguerre.  This is the one place
-    the forward recurrence is written, so every caller gets the same bits as
-    poly_vandermonde.  Returns ``out``.
+    s_{k+1} q_{k+1}.  ``tmp`` is scratch of x2's shape, and either ``out``
+    or ``tmp`` may be ``qm1`` (an in-place update).  The step stores qm1 c_k
+    into tmp, then (x2 + b_k) q into out in one array pass, or two with b,
+    and the sum into out: three stores, four with b, five for weighted
+    Laguerre.  The sum keeps the sign of an exact zero (-0 + -0 = -0), so
+    poly_vandermonde, _scaled_values and the Gauss rules run this step;
+    _ring_step gives the same values in fewer stores where no output shows
+    that sign.  Returns ``out``.
     """
-    _scaled_product(tables, k, x2, q, tmp)
-    np.multiply(qm1, tables[3][k], out=out)
-    return np.add(tmp, out, out=out)
+    np.multiply(qm1, tables[3][k], out=tmp)
+    _scaled_product(tables, k, x2, q, out)
+    return np.add(out, tmp, out=out)
+
+
+# Ring step k reads the pair (q_{k-1}, q_k) from Q[_RING[k % 3]], a basic
+# slice, and writes q_{k+1} into the row left over, (k + 2) % 3.
+_RING = (slice(0, 2), slice(1, 3), slice(2, None, -2))
+
+
+def _ring(tables, x: np.ndarray):
+    """(x2, X, Q) for _ring_step on the grid x, which it doubles in place
+    when the step refills X[1] (a or b present) and otherwise copies doubled
+    into X[1], so that x2 is X[1] and the caller may drop x.  Q holds
+    q_{-1} = 0 and q_0 = 1 in rows 0 and 1.  Callers of _run_split make
+    these on the calling thread and hand slices of them to the parts."""
+    X = np.empty((2,) + x.shape, x.dtype)
+    if tables[1] is None and tables[2] is None:
+        x2 = np.add(x, x, out=X[1])
+    else:
+        x2 = np.add(x, x, out=x)
+    Q = np.empty((3,) + x.shape, x.dtype)
+    Q[0] = 0
+    Q[1] = 1
+    return x2, X, Q
+
+
+def _ring_step(tables, k: int, x2: np.ndarray, X: np.ndarray,
+               Q: np.ndarray) -> np.ndarray:
+    """q_{k+1} = (a_k x2 + b_k) q_k + c_k q_{k-1} into the ring Q (from _ring,
+    or slices of it along the points), whose row (k + 1) % 3 holds q_k and
+    row k % 3 q_{k-1}; returns the row written, (k + 2) % 3.
+
+    X is the multiplier array [c_k row; x2 row]: X[1] is x2 itself, or is
+    refilled with a_k x2 + b_k in one pass per term.  Where the dtype is
+    wider than double, X[0] is filled with c_k and np.vecdot over the pair
+    axis sums c_k q_{k-1} + (x2 + b_k) q_k in a register and stores once.
+    In float64 (and where longdouble is double) it runs _recurrence_step
+    instead, with q_{k-1}'s row as its scratch: the three passes are faster
+    there and keep vecdot's BLAS out of the bits.  So no caller may read
+    q_{k-1} after the step.
+
+    The values equal _recurrence_step's at every point and degree, and the
+    bits wherever the value is nonzero.  vecdot's sum starts from +0, so it
+    forms (+0 + c_k q_{k-1}) + (a_k x2 + b_k) q_k, whose products are
+    rounded as the three passes round them; +0 + u is u unless u = -0, and
+    the sum of two terms does not depend on their order.  So the step differs from
+    the three passes only where both products are -0: it writes +0 where
+    they write -0.  A zero, of either sign, adds nothing to a later nonzero
+    sum and multiplies to a zero, so the difference stays in the sign of
+    exact zeros.  No caller can show that sign: _h_block's einsum also sums
+    from +0, and sampled_value_errors takes abs of its sums.  The step
+    checks no zero, since one test of the row per step would cost most of
+    what it saves.
+    """
+    pair, out = Q[_RING[k % 3]], Q[(k + 2) % 3]
+    if np.finfo(X.dtype).nmant > 52:
+        _multiplier(tables, k, x2, X[1])
+        X[0].fill(tables[3][k])
+        return np.vecdot(X, pair, axis=0, out=out)
+    return _recurrence_step(tables, k, x2, pair[1], pair[0], out, pair[0])
 
 
 def _float_array(x) -> np.ndarray:

@@ -18,7 +18,12 @@ than float64, the extended tier refuses (NarrowLongdoubleError) rather
 than run in double.
 
 The two grid recurrences, h_n at the projection nodes (_h_values) and p_n
-at the sampled points (_pn_rows), and series.clenshaw, which gives the
+at the sampled points (_pn_rows), run bases._ring_step on buffers from
+bases._ring: in longdouble a step stores the c_k row and one np.vecdot
+sum, where the three-pass step (bases._recurrence_step) stores three
+arrays.  It can differ from that step only in the sign of an exact zero,
+which the projection's sums and the sampled check's abs do not carry to
+an output.  These recurrences and series.clenshaw, which gives the
 kernel's values on the grid, split their rows over the CPUs above a floor
 (bases._workers).  The projection (_project_columns) is one product per
 block of 16 columns over the rows up to the block's last degree, so it
@@ -135,24 +140,24 @@ def _h_values(f: PolySeries, y: np.ndarray, q: int, N: int):
     """H[n, j] = h_n(y_j): the q-point rule on [-1, y_j] applied to p_n, with
     the nodes y_j cut into contiguous blocks, one per thread."""
     t, G = _kernel_on_grid(f, y, q)
-    t += t                    # the doubled grid that the scaled recurrence reads
     tables = bases._step_tables(f.basis, N, t.dtype.type)
-    p, pm1, tmp = np.ones_like(t), np.zeros_like(t), np.empty_like(t)
-    H = np.empty((N + 1, len(y)), dtype=t.dtype)
-    cuts = np.linspace(0, len(y), bases._workers(t.nbytes, len(y)) + 1).astype(int)
-    bases._run_split(_h_block, [(tables, G[lo:hi], t[lo:hi], p[lo:hi], pm1[lo:hi],
-                                 tmp[lo:hi], H[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])])
+    x2, X, Q = bases._ring(tables, t)
+    del t                     # x2 is X[1] or t doubled in place
+    H = np.empty((N + 1, len(y)), dtype=x2.dtype)
+    cuts = np.linspace(0, len(y), bases._workers(x2.nbytes, len(y)) + 1).astype(int)
+    bases._run_split(_h_block, [(tables, G[lo:hi], x2[lo:hi], X[:, lo:hi], Q[:, lo:hi],
+                                 H[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])])
     return H
 
 
-def _h_block(tables, G, t2, q, qm1, tmp, H):
-    """H[n, j] = sum_i G[j, i] p_n(t[j, i]) for n = 0..N, in the given buffers;
-    t2 = t + t.  Each row sums the scaled q_n and is then scaled by s_n."""
-    np.einsum("ji,ji->j", G, q, out=H[0])
-    for n in range(len(H) - 1):
-        q, qm1 = bases._recurrence_step(tables, n, t2, q, qm1, qm1, tmp), q
-        np.einsum("ji,ji->j", G, q, out=H[n + 1])
-    H *= tables[0][:, None]
+def _h_block(tables, G, x2, X, Q, H):
+    """H[n, j] = sum_i G[j, i] p_n(t[j, i]) for n = 0..N, on slices of
+    bases._ring's buffers; x2 = t + t.  Each row sums the scaled q_n and is
+    then scaled by s_n, a row at a time: numpy buffers an in-place product
+    that broadcasts over a longdouble block."""
+    for n, row in enumerate(H):
+        q = Q[1] if n == 0 else bases._ring_step(tables, n - 1, x2, X, Q)
+        np.multiply(np.einsum("ji,ji->j", G, q, out=row), tables[0][n], out=row)
 
 
 def _kernel_on_grid(f: PolySeries, y: np.ndarray, q: int):
@@ -299,35 +304,32 @@ def _pn_rows(basis: BasisSpec, t: np.ndarray, ncols: np.ndarray) -> np.ndarray:
     order = np.concatenate(dealt)
     cuts = np.cumsum([0] + [len(d) for d in dealt])
     nn = nc[order]
-    x = t[order]
-    x += x                    # the doubled grid that the scaled recurrence reads
     top = int(nn.max(initial=0))
     tables = bases._step_tables(basis, top, t.dtype.type)
-    q, qm1, tmp = np.ones_like(x), np.zeros_like(x), np.empty_like(x)
+    x2, X, Q = bases._ring(tables, t[order])
     out = np.empty_like(t)
     parts = []
     for lo, hi in zip(cuts, cuts[1:]):
         ends = np.searchsorted(nn[lo:hi], np.arange(nn[lo:hi].max(initial=0) + 1),
                                side="right")
-        parts.append((tables, x[lo:hi], q[lo:hi], qm1[lo:hi], tmp[lo:hi], out,
+        parts.append((tables, x2[lo:hi], X[:, lo:hi], Q[:, lo:hi], out,
                       order[lo:hi], ends))
     bases._run_split(_pn_group, parts)
     return out
 
 
-def _pn_group(tables, x2, q, qm1, tmp, out, order, ends):
-    """out[order[i]] = p_n(x[i]) for one group of rows sorted by degree n, from
-    x2 = x + x; ends[k] is one past the group's last row of degree <= k."""
+def _pn_group(tables, x2, X, Q, out, order, ends):
+    """out[order[i]] = p_n(x[i]) for one group of rows sorted by degree n, on
+    slices of bases._ring's buffers for x2 = x + x; ends[k] is one past the
+    group's last row of degree <= k."""
     done = 0
     for k, end in enumerate(ends):
-        rows = q[done:end]                    # the rows whose degree is k
+        rows = Q[(k + 1) % 3, done:end]       # q_k of the rows whose degree is k
         rows *= tables[0][k]
         out[order[done:end]] = rows
         done = end
         if k < len(ends) - 1:
-            bases._recurrence_step(tables, k, x2[done:], q[done:], qm1[done:],
-                                   qm1[done:], tmp[done:])
-            q, qm1 = qm1, q
+            bases._ring_step(tables, k, x2[done:], X[:, done:], Q[:, done:])
 
 
 def report_to_csv(report: ErrorReport) -> str:

@@ -21,6 +21,12 @@ from .errors import ArgumentError, DomainError, NonResolutionError
 
 _DOMAIN_RELTOL = 1e-12
 
+# The least range, in bytes, that each thread of a split Clenshaw sum gets
+# where the dtype is wider than double: 4096 longdouble points.  A term
+# stores four or five 80-bit arrays per point, so a split pays from here,
+# a quarter of bases._MIN_RANGE_BYTES (timings in CHANGES.md).
+_MIN_WIDE_RANGE_BYTES = 1 << 16
+
 
 @dataclass(frozen=True)
 class ChopRule:
@@ -94,7 +100,8 @@ def clenshaw(basis: BasisSpec, coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
     unscaled six.  The result is a new array of y's shape.  Every point is
     summed on its own, so the points are split into contiguous ranges, one
     per CPU the process may use but none smaller than
-    bases._MIN_RANGE_BYTES, under bases._run_split's threading contract.
+    bases._MIN_RANGE_BYTES, or _MIN_WIDE_RANGE_BYTES where y is wider than
+    double, under bases._run_split's threading contract.
     """
     y = bases._float_array(y)
     c = np.asarray(coeffs).astype(y.dtype)
@@ -106,7 +113,9 @@ def clenshaw(basis: BasisSpec, coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
     flat = y.reshape(-1)
     y2 = flat + flat
     out, b2, tmp = np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat)
-    ranges = bases._workers(flat.nbytes, flat.size)
+    wide = np.finfo(y.dtype).nmant > 52
+    ranges = bases._workers(flat.nbytes, flat.size,
+                            _MIN_WIDE_RANGE_BYTES if wide else bases._MIN_RANGE_BYTES)
     cuts = np.linspace(0, flat.size, ranges + 1).astype(int)
     bases._run_split(_clenshaw_rows, [(tables, terms, y2[lo:hi], out[lo:hi], b2[lo:hi],
                                        tmp[lo:hi]) for lo, hi in zip(cuts, cuts[1:])])

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -292,6 +293,7 @@ class TestThreadedRecurrences:
             raise FloatingPointError("step failed")
 
         monkeypatch.setattr(bases, "_recurrence_step", fail)
+        monkeypatch.setattr(bases, "_ring_step", fail)
         monkeypatch.setattr(bases, "_cpu_count", lambda: cpus)
         f = PolySeries(bases.legendre(), (-1, 1), [1.0, 0.5])
         R = convmat.build(bases.legendre(), [1.0, 0.5], 10)
@@ -427,6 +429,56 @@ def test_pn_rows_share_the_vandermonde_recurrence(basis):
     rows = oracle._pn_rows(basis, t, ncols)
     for i, n in enumerate(ncols):
         assert np.array_equal(rows[i], bases.poly_vandermonde(basis, t[i], n)[..., n])
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of a second call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("name", list(EXTENDED_BASES))
+def test_grid_recurrence_memory_is_its_buffers(name, cpus, monkeypatch):
+    # counted in grid-sized longdouble arrays: _h_values holds t and G, the
+    # ring's three rows and its two multiplier rows, besides H; _pn_rows its
+    # result, the gathered points, the ring and the multiplier rows.  That is
+    # seven, the three-pass step's five plus the multiplier rows, and six
+    # where x2 is the multiplier row: the parts share the caller's buffers.
+    # A second copy of the grid would exceed it, and so would numpy's buffer
+    # for scaling H in place on each part's columns at once (half a grid per
+    # part).  The slack holds the tables and the cuts.
+    basis = EXTENDED_BASES[name]
+    monkeypatch.setattr(bases, "_cpu_count", lambda: cpus)
+    parts = []
+    run_split = bases._run_split
+
+    def record(work, split):
+        parts.append(len(split))
+        run_split(work, split)
+
+    monkeypatch.setattr(bases, "_run_split", record)
+    M, N = 10, 300
+    f = PolySeries(basis, (-1, 1), random_kernel(M, 3))
+    al, be = bases.weight_parameters(basis)
+    y = quadrature.cached_gauss_jacobi(al, be, M + N + 3, extended=True).x
+    q = (M + N) // 2 + 2
+    H, peak = _traced_peak(oracle._h_values, f, y, q, N)
+    grid = len(y) * q * LD(0).itemsize
+    assert peak <= H.nbytes + 7.25 * grid, (peak - H.nbytes) / grid
+    M, N, rows = 100, 1000, 100
+    rng = np.random.default_rng(3)
+    t = rng.uniform(-1, 1, (rows, (M + N) // 2 + 2)).astype(LD)
+    ncols = rng.integers(0, N + 1, rows)
+    _, peak = _traced_peak(oracle._pn_rows, basis, t, ncols)
+    assert peak <= 7.25 * t.nbytes, peak / t.nbytes
+    # both grids lie above the floor, so at 2 CPUs every split is in two
+    assert set(parts) == {cpus}
 
 
 def _mp_basis_monomials(basis, K):

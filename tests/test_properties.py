@@ -3,13 +3,16 @@
 These mirror the verification suite: boundary behaviour at the left
 endpoint, rescaling symmetry of the inner submatrix, commutativity and
 kernel-linearity of the induced convolution, and agreement with the
-quadrature oracle for every basis.
+quadrature oracle for every basis.  One drawn property pins the oracle's
+ring recurrence step to the three-pass step that poly_vandermonde runs.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voltconv import bases, convmat, oracle
 from voltconv.bases import values_at_minus_one
@@ -110,3 +113,51 @@ def test_instability_witness_all_seeds():
         stable = convmat.to_dense(convmat.build_chebyshev(a, 50))
         above = np.triu(np.abs(naive - stable), k=1)
         assert above.max() >= 1e3
+
+
+LD = np.longdouble
+RING_BASES = ALL_BASES + [bases.gegenbauer(0.5), bases.jacobi(-0.5, 0.3),
+                          bases.jacobi(0.3, -0.3), bases.weighted_laguerre()]
+RING_DEGREE = 40
+
+
+@st.composite
+def ring_grids(draw):
+    """(basis, dtype, x): a drawn basis, Jacobi with alpha != beta and
+    drawn parameters among them, and a grid in float64 or longdouble with
+    +-0, +-1, subnormals and the points where x2 + b_k = 0."""
+    basis = draw(st.one_of(
+        st.sampled_from(RING_BASES),
+        st.tuples(st.floats(-0.95, 6.0), st.floats(-0.95, 6.0))
+        .filter(lambda ab: abs(ab[0] + ab[1] + 1) > 1e-3)
+        .map(lambda ab: bases.jacobi(*ab))))
+    dtype = draw(st.sampled_from([np.float64, LD]))
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = [0.0, -0.0, 1.0, -1.0, tiny, -tiny, 3 * tiny, np.finfo(dtype).tiny / 2]
+    x = draw(st.lists(st.one_of(st.sampled_from(special),
+                                st.floats(-1.0, 1.0, allow_subnormal=True)),
+                      min_size=1, max_size=24))
+    x = np.array(x, dtype=dtype)
+    b = bases._step_tables(basis, RING_DEGREE, dtype)[2]
+    if b is not None:     # x2 + b_k = 0 exactly: (-b_k / 2) doubled is -b_k
+        ks = draw(st.lists(st.integers(0, RING_DEGREE - 1), max_size=6))
+        x = np.concatenate([x, -b[ks] / 2])
+    return basis, dtype, x
+
+
+@given(ring_grids())
+@settings(max_examples=150, deadline=None)
+def test_ring_step_matches_the_three_pass_step(grid):
+    # the ring step gives _recurrence_step's value at every point and
+    # degree, and its bits wherever the value is nonzero; only where the
+    # dtype is wider than double may an exact zero lose its sign
+    basis, dtype, x = grid
+    tables = bases._step_tables(basis, RING_DEGREE, dtype)
+    x2, X, Q = bases._ring(tables, x.copy())
+    wide = np.finfo(dtype).nmant > 52
+    for k, want in enumerate(bases._scaled_values(tables, x + x, RING_DEGREE)):
+        got = Q[1] if k == 0 else bases._ring_step(tables, k - 1, x2, X, Q)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), k
+        differ = np.signbit(got) != np.signbit(want)
+        assert not differ.any() if not wide else np.all(want[differ] == 0), k

@@ -203,6 +203,29 @@ class TestThreadedClenshaw:
         s = fit_chebyshev(np.cos, (0.0, 3.0))
         evaluate(s, np.linspace(0.0, 3.0, 200))
 
+    def test_wide_ranges_may_be_a_quarter_of_the_floor(self, monkeypatch):
+        # a longdouble term stores four or five 80-bit arrays per point, so
+        # its sum splits from 64 KiB a range, where float64 needs 256 KiB
+        parts = []
+        run_split = bases._run_split
+
+        def record(work, split):
+            parts.append(len(split))
+            run_split(work, split)
+
+        monkeypatch.setattr(bases, "_run_split", record)
+        monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
+        wide = np.finfo(np.longdouble).nmant > 52
+        n = 3 * series._MIN_WIDE_RANGE_BYTES // np.dtype(np.longdouble).itemsize
+        for dtype, points, want in ((np.longdouble, n, 3 if wide else 1),
+                                    (np.longdouble, n - 1, 2 if wide else 1),
+                                    (np.float64, n, 1)):
+            del parts[:]
+            y = np.linspace(-1, 1, points).astype(dtype)
+            got = clenshaw(bases.legendre(), np.ones(20), y)
+            assert parts == [want]
+            assert np.array_equal(got, _allocating_clenshaw(bases.legendre(), np.ones(20), y))
+
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_kernel_error_reaches_the_caller(self, cpus, monkeypatch):
         caller = threading.get_ident()
