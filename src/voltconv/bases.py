@@ -62,9 +62,10 @@ _KINDS = (CHEBYSHEV, LEGENDRE, GEGENBAUER, JACOBI, WEIGHTED_LAGUERRE)
 
 # The least grid, in bytes, that each thread of a split recurrence gets:
 # 32768 float64 or 16384 longdouble points.  A split hands the GIL over at
-# each ufunc call; the oracle's longdouble grid recurrences pay for it from
-# this size, and a longdouble Clenshaw sum from a quarter of it
-# (series._MIN_WIDE_RANGE_BYTES; timings in CHANGES.md).
+# each ufunc call.  On the ring step the oracle's longdouble grid
+# recurrences pay for it from 128 KiB (_h_values) to 256 KiB (_pn_rows) a
+# range, while a longdouble Clenshaw sum pays from 32 KiB and has its own
+# floor (series._MIN_WIDE_RANGE_BYTES; timings in CHANGES.md).
 _MIN_RANGE_BYTES = 1 << 18
 
 # Degenerate-parameter guard: Jacobi's alpha + beta = -1 (the integration
@@ -276,31 +277,38 @@ def _ring_step(tables, k: int, x2: np.ndarray, X: np.ndarray,
     X is the multiplier array [c_k row; x2 row]: X[1] is x2 itself, or is
     refilled with a_k x2 + b_k in one pass per term.  Where the dtype is
     wider than double, X[0] is filled with c_k and np.vecdot over the pair
-    axis sums c_k q_{k-1} + (x2 + b_k) q_k in a register and stores once.
-    In float64 (and where longdouble is double) it runs _recurrence_step
-    instead, with q_{k-1}'s row as its scratch: the three passes are faster
-    there and keep vecdot's BLAS out of the bits.  So no caller may read
-    q_{k-1} after the step.
+    axis sums c_k q_{k-1} + (a_k x2 + b_k) q_k in a register and stores
+    once.  In float64 (and where longdouble is double) it runs
+    _recurrence_step instead, with q_{k-1}'s row as its scratch: the three
+    passes are faster there and keep vecdot's BLAS out of the bits.  So no
+    caller may read q_{k-1} after the step.
 
     The values equal _recurrence_step's at every point and degree, and the
     bits wherever the value is nonzero.  vecdot's sum starts from +0, so it
     forms (+0 + c_k q_{k-1}) + (a_k x2 + b_k) q_k, whose products are
     rounded as the three passes round them; +0 + u is u unless u = -0, and
-    the sum of two terms does not depend on their order.  So the step differs from
-    the three passes only where both products are -0: it writes +0 where
-    they write -0.  A zero, of either sign, adds nothing to a later nonzero
-    sum and multiplies to a zero, so the difference stays in the sign of
-    exact zeros.  No caller can show that sign: _h_block's einsum also sums
-    from +0, and sampled_value_errors takes abs of its sums.  The step
-    checks no zero, since one test of the row per step would cost most of
-    what it saves.
+    the sum of two terms does not depend on their order.  So the step
+    differs from the three passes only where both products are -0: it writes
+    +0 where they write -0.  A zero, of either sign, adds nothing to a later
+    nonzero sum and multiplies to a zero, so the difference stays in the
+    sign of exact zeros.  No caller can show that sign: _h_block's einsum
+    also sums from +0, and sampled_value_errors takes abs of its sums.  The
+    step checks no zero: one .all() of the row per step, when tried, cut the
+    oracle's end-to-end gain from 21% to 12%.
     """
     pair, out = Q[_RING[k % 3]], Q[(k + 2) % 3]
-    if np.finfo(X.dtype).nmant > 52:
+    if _wide(X.dtype):
         _multiplier(tables, k, x2, X[1])
         X[0].fill(tables[3][k])
         return np.vecdot(X, pair, axis=0, out=out)
     return _recurrence_step(tables, k, x2, pair[1], pair[0], out, pair[0])
+
+
+@functools.cache
+def _wide(dtype) -> bool:
+    """Whether dtype is wider than double (longdouble on x87); cached, as
+    the ring step asks once per step."""
+    return np.finfo(dtype).nmant > 52
 
 
 def _float_array(x) -> np.ndarray:

@@ -22,9 +22,10 @@ from .errors import ArgumentError, DomainError, NonResolutionError
 _DOMAIN_RELTOL = 1e-12
 
 # The least range, in bytes, that each thread of a split Clenshaw sum gets
-# where the dtype is wider than double: 4096 longdouble points.  A term
-# stores four or five 80-bit arrays per point, so a split pays from here,
-# a quarter of bases._MIN_RANGE_BYTES (timings in CHANGES.md).
+# where the dtype is wider than double: 4096 longdouble points, a quarter
+# of bases._MIN_RANGE_BYTES.  A term stores four or five 80-bit arrays per
+# point, so a split already pays at half this range (timings in
+# CHANGES.md).
 _MIN_WIDE_RANGE_BYTES = 1 << 16
 
 
@@ -113,9 +114,8 @@ def clenshaw(basis: BasisSpec, coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
     flat = y.reshape(-1)
     y2 = flat + flat
     out, b2, tmp = np.zeros_like(flat), np.zeros_like(flat), np.empty_like(flat)
-    wide = np.finfo(y.dtype).nmant > 52
-    ranges = bases._workers(flat.nbytes, flat.size,
-                            _MIN_WIDE_RANGE_BYTES if wide else bases._MIN_RANGE_BYTES)
+    floor = _MIN_WIDE_RANGE_BYTES if bases._wide(y.dtype) else bases._MIN_RANGE_BYTES
+    ranges = bases._workers(flat.nbytes, flat.size, floor)
     cuts = np.linspace(0, flat.size, ranges + 1).astype(int)
     bases._run_split(_clenshaw_rows, [(tables, terms, y2[lo:hi], out[lo:hi], b2[lo:hi],
                                        tmp[lo:hi]) for lo, hi in zip(cuts, cuts[1:])])

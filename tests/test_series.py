@@ -215,7 +215,7 @@ class TestThreadedClenshaw:
 
         monkeypatch.setattr(bases, "_run_split", record)
         monkeypatch.setattr(bases, "_cpu_count", lambda: 3)
-        wide = np.finfo(np.longdouble).nmant > 52
+        wide = bases._wide(np.longdouble)
         n = 3 * series._MIN_WIDE_RANGE_BYTES // np.dtype(np.longdouble).itemsize
         for dtype, points, want in ((np.longdouble, n, 3 if wide else 1),
                                     (np.longdouble, n - 1, 2 if wide else 1),
