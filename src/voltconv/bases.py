@@ -20,18 +20,8 @@ form.  Weighted Laguerre stays unscaled, since its s_k = 1/(2^k k!)
 underflows near k = 150 in float64: its table carries the multiplier
 A_k / 2 for the same doubled grid, which gives the unscaled bits.
 
-Two kernels run the forward step on the same tables (_step_tables).
-_recurrence_step stores three arrays per point, four where b is present
-(Jacobi with alpha != beta) and five for weighted Laguerre; poly_vandermonde,
-_scaled_values and the Gauss rules run it, because their outputs show the
-sign of an exact zero.  _ring_step keeps (q_{k-1}, q_k) in two rows of a
-three-row ring and, where the dtype is wider than double, writes q_{k+1}
-into the third by one np.vecdot over the pair axis, which stores the c_k
-row and the sum (and x2 + b_k where b is present).  Most of a longdouble
-pass is its 80-bit store, so this takes about 0.6 of the three passes'
-time; in float64 the three passes are several times faster than vecdot,
-and the step runs them.  The oracle's grid recurrences, whose outputs
-cannot show the sign of a zero, run _ring_step.
+Two kernels run the forward step on the same tables (_step_tables):
+_recurrence_step and _ring_step, whose docstrings say which callers run each.
 
 The recurrences treat every point on its own, and numpy releases the GIL
 inside their ufunc loops, so the Clenshaw sum and the oracle's grid
@@ -50,7 +40,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import BasisParameterError, UnsupportedBasisError
+from .errors import BasisParameterError, DegenerateParameterError, UnsupportedBasisError
 
 CHEBYSHEV = "Chebyshev"
 LEGENDRE = "Legendre"
@@ -64,8 +54,8 @@ _KINDS = (CHEBYSHEV, LEGENDRE, GEGENBAUER, JACOBI, WEIGHTED_LAGUERRE)
 # 32768 float64 or 16384 longdouble points.  A split hands the GIL over at
 # each ufunc call.  On the ring step the oracle's longdouble grid
 # recurrences pay for it from 128 KiB (_h_values) to 256 KiB (_pn_rows) a
-# range, while a longdouble Clenshaw sum pays from 32 KiB and has its own
-# floor (series._MIN_WIDE_RANGE_BYTES; timings in CHANGES.md).
+# range (timings in CHANGES.md); a longdouble Clenshaw sum has its own
+# floor, series._MIN_WIDE_RANGE_BYTES.
 _MIN_RANGE_BYTES = 1 << 18
 
 # Degenerate-parameter guard: Jacobi's alpha + beta = -1 (the integration
@@ -102,9 +92,10 @@ class BasisSpec:
                 raise BasisParameterError(
                     f"Jacobi needs alpha, beta > -1 (got {self.alpha}, {self.beta})")
             if abs(self.alpha + self.beta + 1.0) <= DEGENERATE_TOL:
-                raise BasisParameterError(
-                    "Jacobi with alpha + beta = -1 is degenerate here; use the "
-                    "Chebyshev or Gegenbauer builders instead")
+                raise DegenerateParameterError(
+                    "Jacobi with alpha + beta = -1 is degenerate here (it zeroes "
+                    "the A_1 denominator); use the Chebyshev or Gegenbauer "
+                    "builders instead")
         elif self.alpha is not None or self.beta is not None:
             raise BasisParameterError("alpha/beta are only valid for Jacobi")
 
@@ -221,12 +212,6 @@ def _multiplier(tables, k: int, x2: np.ndarray, out: np.ndarray) -> np.ndarray:
     return xk
 
 
-def _scaled_product(tables, k: int, x2: np.ndarray, q: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-    """out = (a_k x2 + b_k) q, with the absent a and b skipped; returns out."""
-    return np.multiply(_multiplier(tables, k, x2, out), q, out=out)
-
-
 def _recurrence_step(tables, k: int, x2: np.ndarray, q: np.ndarray,
                      qm1: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """out = (a_k x2 + b_k) q + c_k qm1 = q_{k+1}(x), without allocating.
@@ -237,12 +222,11 @@ def _recurrence_step(tables, k: int, x2: np.ndarray, q: np.ndarray,
     into tmp, then (x2 + b_k) q into out in one array pass, or two with b,
     and the sum into out: three stores, four with b, five for weighted
     Laguerre.  The sum keeps the sign of an exact zero (-0 + -0 = -0), so
-    poly_vandermonde, _scaled_values and the Gauss rules run this step;
-    _ring_step gives the same values in fewer stores where no output shows
-    that sign.  Returns ``out``.
+    poly_vandermonde, _scaled_values and the Gauss rules run this step.
+    Returns ``out``.
     """
     np.multiply(qm1, tables[3][k], out=tmp)
-    _scaled_product(tables, k, x2, q, out)
+    np.multiply(_multiplier(tables, k, x2, out), q, out=out)
     return np.add(out, tmp, out=out)
 
 
@@ -278,10 +262,12 @@ def _ring_step(tables, k: int, x2: np.ndarray, X: np.ndarray,
     refilled with a_k x2 + b_k in one pass per term.  Where the dtype is
     wider than double, X[0] is filled with c_k and np.vecdot over the pair
     axis sums c_k q_{k-1} + (a_k x2 + b_k) q_k in a register and stores
-    once.  In float64 (and where longdouble is double) it runs
-    _recurrence_step instead, with q_{k-1}'s row as its scratch: the three
-    passes are faster there and keep vecdot's BLAS out of the bits.  So no
-    caller may read q_{k-1} after the step.
+    once; most of a longdouble pass is its 80-bit store, so this takes
+    about 0.6 of the three passes' time, and the oracle's grid recurrences
+    (_h_block, _pn_group) run this step.  In float64 (and where longdouble
+    is double) it runs _recurrence_step instead, with q_{k-1}'s row as its
+    scratch: the three passes are faster there and keep vecdot's BLAS out
+    of the bits.  So no caller may read q_{k-1} after the step.
 
     The values equal _recurrence_step's at every point and degree, and the
     bits wherever the value is nonzero.  vecdot's sum starts from +0, so it

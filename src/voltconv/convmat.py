@@ -21,13 +21,8 @@ diagonal / row:
                   singular at n = 1 for Chebyshev)
 
 Column 0 and regions A and C read one RecurrenceTables per basis, with no
-per-basis branch.  Entries below finfo.tiny are stored as exact zeros (see
-build), and region A stops each offset at its last nonzero entry.  Above a
-size floor a shared worker zeroes top beside region A and runs region B
-beside region C (_mirror_blocks), unless a banded region C is too short to
-hide it, and apply() runs one row block per CPU, each a zero-copy DIA view of
-band (ConvMatrix._row_blocks), both under bases._run_split's threading
-contract.  Every reader of the packed storage lives in this module.
+per-basis branch.  build and apply say how they split over the CPUs.  Every
+reader of the packed storage lives in this module.
 
 The naive builder, kept for error-growth studies, runs region A's column
 step (_column_step) over whole columns.
@@ -44,8 +39,7 @@ import numpy as np
 
 from . import bases
 from .bases import BasisSpec
-from .errors import (ArgumentError, BasisParameterError, DegenerateParameterError,
-                     DimensionError, UnsupportedBasisError)
+from .errors import ArgumentError, BasisParameterError, DimensionError, UnsupportedBasisError
 
 __all__ = [
     "ConvMatrix", "RecurrenceTables", "build_chebyshev", "build_legendre",
@@ -171,12 +165,8 @@ class RecurrenceTables:
 
 def jacobi_tables(alpha: float, beta: float, nmax: int) -> RecurrenceTables:
     """Tables A_1..A_{nmax+1}, B_0..B_{nmax+1}, C_0..C_{nmax+1}, shat_0..shat_{nmax}."""
+    bases.jacobi(alpha, beta)  # parameter validation, the degenerate line included
     ab = alpha + beta
-    if abs(ab + 1.0) <= bases.DEGENERATE_TOL:
-        raise DegenerateParameterError(
-            "alpha + beta = -1 zeroes the A_1 denominator; this line is not "
-            "supported (use the Chebyshev or Gegenbauer builders)")
-    bases.jacobi(alpha, beta)  # remaining parameter validation
     if nmax < 0:
         raise ArgumentError("nmax must be >= 0")
     j = np.arange(nmax + 2, dtype=float)
@@ -251,11 +241,12 @@ def _finite_tables(basis: BasisSpec, M: int, N: int, nmax: int) -> RecurrenceTab
 # ---------------------------------------------------------------------------
 # column 0
 
-def _column0(basis: BasisSpec, a: np.ndarray, tables: RecurrenceTables) -> np.ndarray:
+def _column0(a: np.ndarray, tables: RecurrenceTables, w: np.ndarray) -> np.ndarray:
     """Rows 0..M+1 of column 0: coefficients of the kernel's antiderivative,
     A_k a_{k-1} + B_k a_k + C_k a_{k+1} for k >= 1, with A_k and C_k applied
     as divisions by Ainv_k and Cinv_k, or as one division where
-    Cinv_k = -Ainv_k (Chebyshev from k = 2), which saves a rounding."""
+    Cinv_k = -Ainv_k (Chebyshev from k = 2), which saves a rounding.  Row 0
+    is the boundary sum over the weights w_k = -p_k(-1), k = 0..M+1 at least."""
     M = a.size - 1
     col = np.zeros(M + 2)
     ap = np.concatenate([a, [0.0, 0.0]])
@@ -264,8 +255,7 @@ def _column0(basis: BasisSpec, a: np.ndarray, tables: RecurrenceTables) -> np.nd
     col[1:] = np.where(Cinv == -Ainv, (lo - hi) / Ainv, lo / Ainv + hi / Cinv)
     if np.any(tables.B):
         col[1:] += tables.B[k] * ap[1:M + 2]
-    w = -bases.values_at_minus_one(basis, M + 1)   # sum_k col[k] p_k(-1) = 0
-    col[0] = math.fsum(w[1:] * col[1:])
+    col[0] = math.fsum(w[1:M + 2] * col[1:])     # sum_k col[k] p_k(-1) = 0
     return col
 
 
@@ -325,7 +315,8 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     # top rows vanish beyond the band (Legendre, Gegenbauer(1/2), Jacobi(a, 0))
     banded = not np.any(tables.shat[1:])
 
-    col0 = _column0(basis, a, tables)
+    w = -bases.values_at_minus_one(basis, M + 2)   # column 0's and 1's boundary sums
+    col0 = _column0(a, tables, w)
     # entries below finfo.tiny are stored as exact zeros, since subnormals
     # slow every pass over them (apply included); when eps^2 max|col0| > tiny
     # they are below eps^2 max|R|, and tiny kernels keep exact arithmetic
@@ -364,8 +355,7 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     # the recast forms are singular at n = 1 for Chebyshev, so column 1's
     # top entry comes from the boundary sum over its nonzero rows 1..M+2
     if N >= 1:
-        wts = -bases.values_at_minus_one(basis, M + 2)
-        top[0, 1] = math.fsum(wts[1:] * D[:, 1])
+        top[0, 1] = math.fsum(w[1:] * D[:, 1])
         if flush:
             _flush_subnormal(top[0, 1:2], work[0])
     for d in range(M + 1):               # region A's rows 0..M, which region
@@ -375,7 +365,8 @@ def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
 
 
 def _phases(split, *phases):
-    """Each (function, *args): the others beside the last on bases' workers."""
+    """Each (function, *args): the others beside the last on bases' workers,
+    under bases._run_split's threading contract."""
     if split:
         bases._run_split(lambda fn, *args: fn(*args), phases)
     else:
@@ -392,9 +383,10 @@ def _region_a(tables, M, W, col0, D, flush, t, ends):
     x_c = mu_c x_{c-1} + g_c, solved forward by LAPACK.  Past g's reach it
     decays, in chunks of 32 entries and then doubling, until one ends in a
     zero; ends[d] is then offset d's last nonzero column, where the next
-    offsets' reach and region B's mirror stop.  g is summed in place on D's
-    row, one term at a time through the scratch row t (at least W - 1
-    entries), which also takes |x| for the flush; ends has M+4 entries -2.
+    offsets' reach and region B's mirror stop.  g is summed one term at a
+    time, in place on D's row through the scratch row t (at least W - 1
+    entries), or in a longdouble copy on the main diagonal; t also takes
+    |x| for the flush; ends has M+4 entries -2.
     """
     from scipy.linalg.lapack import dtbtrs
     B, shat, Ainv, Cinv = tables.B, tables.shat, tables.Ainv, tables.Cinv
@@ -413,34 +405,29 @@ def _region_a(tables, M, W, col0, D, flush, t, ends):
         hi = min(W, max(ends[d + 1] + 1, ends[d + 2] + 2, M + 1 - d, 2))
         g = D[d, 2:hi + 1]
         n = hi - 1
+        # mu = 1 on the main diagonal, so no rounding of its g is ever damped:
+        # there g is summed in extended precision and rounded once.  numpy
+        # picks a loop by its inputs' dtypes, not out's, so the quotients
+        # and the shat product take an operand in acc's dtype
+        acc, u = (g, t[:n]) if d else (g.astype(np.longdouble), np.empty(n, np.longdouble))
+        a_c = Ac[:n].astype(acc.dtype, copy=False)
+        if d <= M and has_b:
+            np.subtract(B[d + 2:d + hi + 1], B[1:hi], out=u)
+            u *= a_c
+            u *= D[d + 1, 1:hi]
+            acc += u
+        if d < M:
+            np.divide(a_c, Cinv[d + 2:d + hi + 1], out=u)
+            u *= D[d + 2, 1:hi]
+            acc += u
+            m = M - d                     # column 0 at rows c + d <= M+1
+            np.multiply(shat[1:m + 1].astype(acc.dtype, copy=False), col0[d + 2:], out=u[:m])
+            acc[:m] += u[:m]
+            np.multiply(np.divide(a_c, Cinv[:n], out=u) if d == 0 else AcC[:n],
+                        D[d + 2, :hi - 1], out=u)
+            acc -= u
         if d == 0:
-            # mu = 1 on the main diagonal, so no rounding of its g is ever
-            # damped: there g is formed in extended precision, rounded once
-            acc = g.astype(np.longdouble)
-            a_c = Ac[:n].astype(np.longdouble)
-            if has_b:
-                acc += ((B[2:hi + 1] - B[1:hi]) * a_c) * D[1, 1:hi]
-            if M > 0:
-                acc += (a_c / Cinv[2:hi + 1]) * D[2, 1:hi]
-                acc[:M] += shat[1:M + 1].astype(np.longdouble) * col0[2:]
-                acc -= (a_c / Cinv[:n]) * D[2, :hi - 1]
             g[...] = acc
-        else:                             # the same terms in the same order
-            u = t[:n]
-            if d <= M and has_b:
-                np.subtract(B[d + 2:d + hi + 1], B[1:hi], out=u)
-                u *= Ac[:n]
-                u *= D[d + 1, 1:hi]
-                g += u
-            if d < M:
-                np.divide(Ac[:n], Cinv[d + 2:d + hi + 1], out=u)
-                u *= D[d + 2, 1:hi]
-                g += u
-                m = M - d                 # column 0 at rows c + d <= M+1
-                np.multiply(shat[1:m + 1], col0[d + 2:], out=u[:m])
-                g[:m] += u[:m]
-                np.multiply(AcC[:n], D[d + 2, :hi - 1], out=u)
-                g -= u
         lo, step = 2, 32
         while True:
             x = D[d, lo:hi + 1]
@@ -649,8 +636,8 @@ def build_chebyshev_naive(a, N: int) -> np.ndarray:
     M = a.size - 1
     tables = _chebyshev_tables(M + N)
     R = np.zeros((M + N + 3, N + 1))       # a zero row past the last: R_{k+1,n}
-    R[:M + 2, 0] = _column0(bases.chebyshev(), a, tables)
     wts = -bases.values_at_minus_one(bases.chebyshev(), M + N + 1)
+    R[:M + 2, 0] = _column0(a, tables, wts)
     for n in range(N):
         hi = min(M + n + 2, M + N + 1)     # column n+1's last nonzero row
         R[1:hi + 1, n + 1] = _column_step(tables, n, np.arange(1, hi + 1), R[:, n],

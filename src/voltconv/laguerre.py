@@ -72,13 +72,9 @@ def build_laguerre(a, N: int) -> LaguerreConvMatrix:
 
 def to_dense_laguerre(R: LaguerreConvMatrix) -> np.ndarray:
     rows, cols = R.shape
-    k = np.arange(rows)[:, None]
-    n = np.arange(cols)[None, :]
-    d = k - n
-    ap = np.concatenate([R.a, [0.0]])
-    hi = np.where((d >= 0) & (d <= R.M), ap[np.clip(d, 0, R.M)], 0.0)
-    lo = np.where((d - 1 >= 0) & (d - 1 <= R.M), ap[np.clip(d - 1, 0, R.M)], 0.0)
-    return hi - lo
+    d = np.arange(rows)[:, None] - np.arange(cols)[None, :]
+    c = np.diff(R.a, prepend=0.0, append=0.0)     # a_d - a_{d-1}, d = 0..M+1
+    return np.where((d >= 0) & (d <= R.M + 1), c[np.clip(d, 0, R.M + 1)], 0.0)
 
 
 def apply_laguerre(R: LaguerreConvMatrix, b) -> np.ndarray:

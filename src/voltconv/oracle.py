@@ -19,11 +19,7 @@ than run in double.
 
 The two grid recurrences, h_n at the projection nodes (_h_values) and p_n
 at the sampled points (_pn_rows), run bases._ring_step on buffers from
-bases._ring: in longdouble a step stores the c_k row and one np.vecdot
-sum, where the three-pass step (bases._recurrence_step) stores three
-arrays.  It can differ from that step only in the sign of an exact zero,
-which the projection's sums and the sampled check's abs do not carry to
-an output.  These recurrences and series.clenshaw, which gives the
+bases._ring.  These recurrences and series.clenshaw, which gives the
 kernel's values on the grid, split their rows over the CPUs above a floor
 (bases._workers).  The projection (_project_columns) is one product per
 block of 16 columns over the rows up to the block's last degree, so it
@@ -167,9 +163,7 @@ def _kernel_on_grid(f: PolySeries, y: np.ndarray, q: int):
     G[j, i] = f(y_j - 1 - t_ji) w_i (y_j + 1) / 2, so that
     sum_i G[j, i] g(t_ji) is the rule for int_{-1}^{y_j} f(y_j - 1 - t) g(t) dt.
     """
-    # Not y.dtype == LD: where longdouble is plain double the two dtypes
-    # compare equal, and a float64 y would ask for the refused extended rule.
-    gl = quadrature.cached_gauss_legendre(q, extended=(y.dtype != np.float64))
+    gl = quadrature.cached_gauss_legendre(q, extended=bases._wide(y.dtype))
     half = (y + 1)[:, None] / 2
     t = -1 + half * (gl.x + 1)[None, :]
     F = clenshaw(f.basis, f.coeffs, y[:, None] - 1 - t)

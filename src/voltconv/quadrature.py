@@ -28,7 +28,7 @@ LD = np.longdouble
 PI_LD = LD("3.14159265358979323846264338327950288")
 # Where np.longdouble is plain double (MSVC, some ARM builds) the extended
 # tier would silently run in double, so its entry points refuse instead.
-EXTENDED_AVAILABLE = bool(np.finfo(LD).eps < 1e-16)
+EXTENDED_AVAILABLE = bases._wide(LD)
 
 
 def require_extended() -> None:
@@ -48,7 +48,7 @@ class QuadRule:
 
     @property
     def extended(self) -> bool:
-        return self.x.dtype != np.float64
+        return bases._wide(self.x.dtype)
 
 
 def _tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

@@ -133,7 +133,7 @@ def _clenshaw_rows(tables, terms, y2, out, b2, tmp):
     chat, Chat = terms
     b1 = out
     for k in range(len(chat) - 1, -1, -1):
-        bases._scaled_product(tables, k, y2, b1, tmp)
+        np.multiply(bases._multiplier(tables, k, y2, tmp), b1, out=tmp)
         tmp += chat[k]
         b2 *= Chat[k]
         tmp += b2

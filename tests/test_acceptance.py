@@ -245,10 +245,13 @@ def test_c10_complexity_scaling():
     # seconds.  Each round builds the three sizes back to back, keeping each
     # size's fastest of three builds; the ratios are taken between one
     # round's minimums, so drift between rounds cancels, and the median over
-    # rounds is compared against the band.  The build costs a + b N, with an
-    # N-independent a of ~7 ms at M = 100 (its O(M) vectorised steps) and
-    # b ~3 ms per 1000 columns; the sizes make b N dominate, so the ratios
-    # measure the O(MN) growth rather than that fixed cost.
+    # rounds is compared against the band.  The build costs a + b N: at
+    # M = 100 on a 2-CPU x86-64 VM the medians read 16-23, 30-41 and
+    # 61-80 ms at the three sizes, so b is 1.8-2.4 ms per 1000 columns and
+    # the N-independent a (its O(M) vectorised steps) 1-5 ms.  All three
+    # sizes lie above the build's split floor, so each pays the same worker
+    # handoffs.  The sizes make b N dominate, so the ratios measure the
+    # O(MN) growth rather than that fixed cost.
     a = random_kernel(100, SEED)
     sizes = (8000, 16000, 32000)
 

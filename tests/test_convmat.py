@@ -110,8 +110,12 @@ class TestTables:
                                    rtol=1e-15)
 
     def test_degenerate_line_rejected(self):
-        with pytest.raises(DegenerateParameterError):
-            convmat.jacobi_tables(-0.3, -0.7, 4)
+        # BasisSpec itself refuses the line, so every Jacobi entry point does
+        for make in (lambda: convmat.jacobi_tables(-0.3, -0.7, 4),
+                     lambda: bases.jacobi(-0.3, -0.7),
+                     lambda: convmat.build_jacobi([1.0, 0.5], -0.3, -0.7, 4)):
+            with pytest.raises(DegenerateParameterError):
+                make()
 
     @pytest.mark.parametrize("basis, M, N", [
         (bases.gegenbauer(1000.0), 10, 300), (bases.gegenbauer(600.0), 10, 300),

@@ -36,12 +36,17 @@ class TestStructure:
         assert np.all(laguerre.to_dense_laguerre(R) == 0.0)
 
     def test_entry_matches_dense(self):
+        # bit for bit, so the sign of a zero too: one kernel holds a -0.0
         rng = np.random.default_rng(0)
-        R = laguerre.build_laguerre(rng.uniform(-1, 1, 6), 9)
-        D = laguerre.to_dense_laguerre(R)
-        for k in range(D.shape[0]):
-            for n in range(D.shape[1]):
-                assert R.entry(k, n) == D[k, n]
+        a = rng.uniform(-1, 1, 6)
+        signed = a.copy()
+        signed[2] = -0.0
+        for kernel, N in ((a, 9), (signed, 9), (signed, 0), ([-0.0], 3), ([0.5], 0)):
+            R = laguerre.build_laguerre(kernel, N)
+            D = laguerre.to_dense_laguerre(R)
+            entries = np.array([[R.entry(k, n) for n in range(D.shape[1])]
+                                for k in range(D.shape[0])])
+            np.testing.assert_array_equal(entries.view(np.int64), D.view(np.int64))
 
     def test_column_sums_telescope(self):
         rng = np.random.default_rng(1)
