@@ -79,18 +79,18 @@ class BasisSpec:
         if self.kind == GEGENBAUER:
             if self.lam is None:
                 raise BasisParameterError("Gegenbauer basis needs lambda")
-            if not (self.lam > -0.5) or abs(self.lam) <= DEGENERATE_TOL:
+            if not (-0.5 < self.lam < np.inf) or abs(self.lam) <= DEGENERATE_TOL:
                 raise BasisParameterError(
-                    f"Gegenbauer lambda must satisfy lambda > -1/2, "
+                    f"Gegenbauer lambda must be finite and satisfy lambda > -1/2, "
                     f"|lambda| > {DEGENERATE_TOL:g} (got {self.lam})")
         elif self.lam is not None:
             raise BasisParameterError("lambda is only valid for Gegenbauer")
         if self.kind == JACOBI:
             if self.alpha is None or self.beta is None:
                 raise BasisParameterError("Jacobi basis needs alpha and beta")
-            if not (self.alpha > -1.0 and self.beta > -1.0):
+            if not (-1.0 < self.alpha < np.inf and -1.0 < self.beta < np.inf):
                 raise BasisParameterError(
-                    f"Jacobi needs alpha, beta > -1 (got {self.alpha}, {self.beta})")
+                    f"Jacobi needs finite alpha, beta > -1 (got {self.alpha}, {self.beta})")
             if abs(self.alpha + self.beta + 1.0) <= DEGENERATE_TOL:
                 raise DegenerateParameterError(
                     "Jacobi with alpha + beta = -1 is degenerate here (it zeroes "
@@ -131,6 +131,12 @@ def weighted_laguerre() -> BasisSpec:
     return BasisSpec(WEIGHTED_LAGUERRE)
 
 
+def _lam(basis: BasisSpec) -> Optional[float]:
+    """Gegenbauer's lambda, or 1/2 for Legendre (P_n = C_n^(1/2)), whose bits
+    the Gegenbauer formulas give there; None for the other kinds."""
+    return 0.5 if basis.kind == LEGENDRE else basis.lam
+
+
 def _jacobi_abc(alpha: float, beta: float, n, dtype=float):
     """recurrence_abc's (A_n, B_n, C_n) for P_n^(alpha,beta), any alpha, beta > -1.
 
@@ -161,10 +167,8 @@ def recurrence_abc(basis: BasisSpec, n, dtype=float):
     zero = np.zeros_like(nn)
     if basis.kind == CHEBYSHEV:
         return np.where(nn == 0, one, 2 * one), zero, np.where(nn == 0, zero, -one)
-    if basis.kind == LEGENDRE:
-        return (2 * nn + 1) / (nn + 1), zero, -nn / (nn + 1)
-    if basis.kind == GEGENBAUER:
-        lam = dtype(basis.lam)
+    if (lam := _lam(basis)) is not None:
+        lam = dtype(lam)
         return (2 * (nn + lam) / (nn + 1), zero,
                 -(nn + 2 * lam - 1) / (nn + 1))
     if basis.kind == JACOBI:
@@ -323,52 +327,41 @@ def poly_vandermonde(basis: BasisSpec, x: np.ndarray, degree: int) -> np.ndarray
     return V
 
 
-def values_at_minus_one(basis: BasisSpec, nmax: int) -> np.ndarray:
-    """Vector [p_0(-1), ..., p_nmax(-1)], accumulated multiplicatively.
+def _signs(n: int) -> np.ndarray:
+    """[(-1)^k for k = 0..n-1]."""
+    return np.where(np.arange(n) % 2, -1.0, 1.0)
 
-    Chebyshev/Legendre: (-1)^n.  Gegenbauer: (-1)^n (2 lam)_n / n!.
-    Jacobi: (-1)^n (beta+1)_n / n!.  No factorials, so no overflow.
-    """
-    if basis.kind in (CHEBYSHEV, LEGENDRE):
-        out = np.ones(nmax + 1)
-        out[1::2] = -1.0
-        return out
+
+def _rising(x: float, d: float, n: int) -> np.ndarray:
+    """[prod_{j<k} (x+j)/(j+d) for k = 0..n] by one cumulative product, which
+    does not overflow where the rising factorials (x)_k and (d)_k do."""
+    j = np.arange(n, dtype=float)
+    return np.concatenate([[1.0], np.cumprod((x + j) / (j + d))])
+
+
+def values_at_minus_one(basis: BasisSpec, nmax: int) -> np.ndarray:
+    """Vector [p_0(-1), ..., p_nmax(-1)]: (-1)^n for Chebyshev,
+    (-1)^n (2 lam)_n / n! for Gegenbauer (Legendre at lam = 1/2) and
+    (-1)^n (beta+1)_n / n! for Jacobi."""
     if not basis.finite_interval:
         raise UnsupportedBasisError("values_at_minus_one needs a finite-interval basis")
-    shift = 2.0 * basis.lam if basis.kind == GEGENBAUER else basis.beta + 1.0
-    j = np.arange(nmax, dtype=float)
-    mags = np.concatenate([[1.0], np.cumprod((shift + j) / (j + 1.0))])
-    signs = np.ones(nmax + 1)
-    signs[1::2] = -1.0
-    return signs * mags
+    signs = _signs(nmax + 1)
+    if basis.kind == CHEBYSHEV:
+        return signs
+    shift = basis.beta + 1.0 if basis.kind == JACOBI else 2.0 * _lam(basis)
+    return signs * _rising(shift, 1.0, nmax)
 
 
 def weight_parameters(basis: BasisSpec):
     """(alpha, beta) of the orthogonality weight (1-x)^a (1+x)^b."""
     if basis.kind == CHEBYSHEV:
         return (-0.5, -0.5)
-    if basis.kind == LEGENDRE:
-        return (0.0, 0.0)
-    if basis.kind == GEGENBAUER:
-        return (basis.lam - 0.5, basis.lam - 0.5)
     if basis.kind == JACOBI:
         return (basis.alpha, basis.beta)
-    raise UnsupportedBasisError("no finite-interval weight for " + basis.kind)
-
-
-def gegenbauer_S_array(lam: float, nmax: int) -> np.ndarray:
-    """[S_0, ..., S_nmax] via one cumulative product.
-
-    S_n = 2 (-1)^(n+1) (lam+n) (2 lam - 1)_n / (n+1)! is the inhomogeneous
-    term of the Gegenbauer column recursion.  S_0 = -2 lam (the empty
-    product is 1), which is nonzero even at lam = 1/2 where S_n vanishes
-    for all n >= 1.
-    """
-    n = np.arange(nmax + 1, dtype=float)
-    r = np.concatenate([[1.0],
-                        np.cumprod((2.0 * lam - 1.0 + n[:-1]) / (n[:-1] + 2.0))])
-    signs = np.where(np.arange(nmax + 1) % 2 == 1, 1.0, -1.0)
-    return 2.0 * signs * (lam + n) * r
+    lam = _lam(basis)
+    if lam is None:
+        raise UnsupportedBasisError("no finite-interval weight for " + basis.kind)
+    return (lam - 0.5, lam - 0.5)
 
 
 def _cpu_count() -> int:

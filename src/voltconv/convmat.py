@@ -176,14 +176,10 @@ def jacobi_tables(alpha: float, beta: float, nmax: int) -> RecurrenceTables:
     B[1:] = 2.0 * (alpha - beta) / ((ab + 2.0 * j[1:]) * (ab + 2.0 * j[1:] + 2.0))
     C = -2.0 * (alpha + j + 1.0) * (beta + j + 1.0) / (
         (ab + j + 1.0) * (ab + 2.0 * j + 2.0) * (ab + 2.0 * j + 3.0))
-    S = np.zeros(nmax + 1)
-    S[0] = -2.0 * (beta + 1.0) / (ab + 2.0)
-    if nmax >= 1:
-        i = np.arange(1, nmax + 1, dtype=float)
-        poch = np.cumprod((beta + np.arange(nmax + 1, dtype=float))
-                          / (np.arange(nmax + 1, dtype=float) + 1.0))
-        signs = np.where(np.arange(1, nmax + 1) % 2 == 1, 1.0, -1.0)
-        S[1:] = 2.0 * signs * poch[1:] / (ab + i)
+    # S_n = 2 (-1)^(n+1) (beta)_(n+1) / ((n+1)! (ab+n)); S_0 apart, as ab may be 0
+    signs, poch = bases._signs(nmax + 1)[1:], bases._rising(beta, 1.0, nmax + 1)[2:]
+    S = np.concatenate([[-2.0 * (beta + 1.0) / (ab + 2.0)],
+                        -2.0 * signs * poch / (ab + j[1:nmax + 1])])
     Ainv = np.full(nmax + 2, np.inf)
     Ainv[1:] = (ab + 2.0 * j[1:] - 1.0) * (ab + 2.0 * j[1:]) / (2.0 * (ab + j[1:]))
     Cinv = -(ab + j + 1.0) * (ab + 2.0 * j + 2.0) * (ab + 2.0 * j + 3.0) / (
@@ -192,11 +188,15 @@ def jacobi_tables(alpha: float, beta: float, nmax: int) -> RecurrenceTables:
 
 
 def _gegenbauer_tables(lam: float, nmax: int) -> RecurrenceTables:
+    """Gegenbauer's tables, Legendre's at lam = 1/2.  shat_n is the column
+    recursion's inhomogeneous term S_n = 2 (-1)^(n+1) (lam+n) (2 lam - 1)_n
+    / (n+1)!: -2 lam at n = 0, and 0 for every n >= 1 at lam = 1/2."""
     j = np.arange(nmax + 2, dtype=float)
     Ainv = np.concatenate([[np.inf], 2.0 * (j[1:] - 1.0 + lam)])
     Cinv = -2.0 * (j + 1.0 + lam)
-    return RecurrenceTables(1.0 / Ainv, np.zeros(nmax + 2), 1.0 / Cinv,
-                            bases.gegenbauer_S_array(lam, nmax), Ainv, Cinv)
+    S = -2.0 * bases._signs(nmax + 1) * (lam + j[:nmax + 1]) * bases._rising(
+        2.0 * lam - 1.0, 2.0, nmax)
+    return RecurrenceTables(1.0 / Ainv, np.zeros(nmax + 2), 1.0 / Cinv, S, Ainv, Cinv)
 
 
 def _chebyshev_tables(nmax: int) -> RecurrenceTables:
@@ -204,7 +204,7 @@ def _chebyshev_tables(nmax: int) -> RecurrenceTables:
     Ainv = np.concatenate([[np.inf, 1.0], 2.0 * j[2:]])   # A_1 = 1, A_j = 1/(2j)
     Cinv = np.concatenate([[-np.inf], -2.0 * j[1:]])      # C_0 = 0, C_j = -1/(2j)
     n = j[2:nmax + 1]
-    shat = np.concatenate([[-1.0, 1.0], np.where(n % 2 == 0, 2.0, -2.0) / (n - 1.0)])
+    shat = np.concatenate([[-1.0, 1.0], 2.0 * bases._signs(nmax + 1)[2:] / (n - 1.0)])
     return RecurrenceTables(1.0 / Ainv, np.zeros(nmax + 2), 1.0 / Cinv, shat[:nmax + 1],
                             Ainv, Cinv)
 
@@ -212,10 +212,8 @@ def _chebyshev_tables(nmax: int) -> RecurrenceTables:
 def _tables(basis: BasisSpec, nmax: int) -> RecurrenceTables:
     if basis.kind == bases.CHEBYSHEV:
         return _chebyshev_tables(nmax)
-    if basis.kind == bases.LEGENDRE:
-        return _gegenbauer_tables(0.5, nmax)
-    if basis.kind == bases.GEGENBAUER:
-        return _gegenbauer_tables(basis.lam, nmax)
+    if (lam := bases._lam(basis)) is not None:
+        return _gegenbauer_tables(lam, nmax)
     if basis.kind == bases.JACOBI:
         return jacobi_tables(basis.alpha, basis.beta, nmax)
     raise UnsupportedBasisError(basis.kind)
@@ -528,11 +526,11 @@ def _ratio_tables(basis, nmax, omax):
     One table's signs alternate, which gives (-1)^o exactly.  Jacobi's q is
     one cumulative product; the raw Pochhammer quotient overflows."""
     k = np.arange(nmax + 1, dtype=float)
-    sign = np.where(np.arange(nmax + 1) % 2, -1.0, 1.0)
+    sign = bases._signs(nmax + 1)
     if basis.kind == bases.CHEBYSHEV:
         p, q = None, sign * k
-    elif basis.kind in (bases.LEGENDRE, bases.GEGENBAUER):
-        p, q = sign * (k + (0.5 if basis.kind == bases.LEGENDRE else basis.lam)), None
+    elif (lam := bases._lam(basis)) is not None:
+        p, q = sign * (k + lam), None
     else:
         al, be, ab = basis.alpha, basis.beta, basis.alpha + basis.beta
         f = (k + al + 1.0) * (k + be + 1.0) / (k + ab + 1.0) ** 2

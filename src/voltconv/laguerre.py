@@ -22,7 +22,7 @@ import numpy as np
 from . import bases, quadrature
 from .convmat import _kernel_and_size, _size
 from .errors import ArgumentError, DimensionError, RangeOverflowError
-from .series import PolySeries
+from .series import PolySeries, _samples
 
 FFT_THRESHOLD = 1 << 16   # direct convolution below (M+1)*(len b)
 
@@ -124,7 +124,7 @@ def fit_laguerre(f, degree: int) -> PolySeries:
     degree = _size(degree, "degree")
     npts = 2 * degree + 8
     x, _, w_exp = quadrature.gauss_laguerre(npts)
-    F = np.asarray(f(x), dtype=float) * w_exp
+    F = _samples(f, x) * w_exp
     try:
         with np.errstate(over="raise", invalid="raise"):
             V = bases.poly_vandermonde(bases.weighted_laguerre(), x, degree)

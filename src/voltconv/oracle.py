@@ -180,7 +180,8 @@ def conv_point_oracle(f: PolySeries, g: PolySeries, points) -> np.ndarray:
     """Volterra convolution values h(x) = int f(x-t) g(t) dt by quadrature.
 
     Domains are physical; x ranges over [a+c, b+c] for f on [a,b], g on
-    [c,d].  Exact-degree Gauss-Legendre per point.
+    [c,d].  h(x) is (b-a)/2 times the columns' rule (_kernel_on_grid) at
+    x's canonical point.
     """
     if not (f.basis.finite_interval and g.basis.finite_interval):
         raise DomainMismatchError("pointwise oracle needs finite-interval series")
@@ -191,17 +192,9 @@ def conv_point_oracle(f: PolySeries, g: PolySeries, points) -> np.ndarray:
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     if np.any(pts < a + c - 1e-12 * (b - a)) or np.any(pts > b + c + 1e-12 * (b - a)):
         raise DomainMismatchError(f"convolution points must lie in [{a + c}, {b + c}]")
-    q = (f.degree + g.degree) // 2 + 2
-    gl = quadrature.cached_gauss_legendre(q)
-    xi, om = gl.x, gl.w
-    lo = c
-    hi = np.minimum(pts - a, d)
-    half = (hi - lo)[:, None] / 2.0
-    t = lo + half * (xi + 1.0)[None, :]
-    vals = evaluate(g, np.clip(t, c, d)) * om[None, :] * half
-    fm = clenshaw(f.basis, f.coeffs,
-                  np.clip((2.0 * (pts[:, None] - t) - (a + b)) / (b - a), -1.0, 1.0))
-    return (vals * fm).sum(axis=1)
+    y = np.clip((2.0 * pts - (a + c) - (b + c)) / (b - a), -1.0, 1.0)
+    t, G = _kernel_on_grid(f, y, (f.degree + g.degree) // 2 + 2)
+    return (b - a) / 2 * (G * evaluate(g, c + (d - c) * (t + 1) / 2)).sum(axis=1)
 
 
 def compare_entrywise(built: Union[ConvMatrix, np.ndarray],

@@ -185,14 +185,15 @@ def indefinite_integral_cheb(coeffs) -> np.ndarray:
     a = np.asarray(coeffs, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ArgumentError("coefficient array must be nonempty")
+    if not np.all(np.isfinite(a)):
+        raise ArgumentError("coefficients must be finite")
     J = a.size - 1
     ap = np.concatenate([a, [0.0, 0.0]])  # alpha_{J+1} = alpha_{J+2} = 0
     out = np.empty(J + 2)
     out[1] = ap[0] - ap[2] / 2.0
     j = np.arange(2, J + 2)
     out[2:] = (ap[j - 1] - ap[j + 1]) / (2.0 * j)
-    signs = np.where(np.arange(1, J + 2) % 2 == 1, 1.0, -1.0)
-    out[0] = math.fsum(signs * out[1:])
+    out[0] = math.fsum(-bases._signs(J + 2)[1:] * out[1:])
     return out
 
 
@@ -205,8 +206,9 @@ def _chop(c: np.ndarray, rel_tol: float) -> np.ndarray:
 
 
 def _samples(f, x: np.ndarray) -> np.ndarray:
-    """f(x) as floats; non-finite values would poison every coefficient."""
-    v = np.asarray(f(x), dtype=float)
+    """f(x) as floats of x's shape (a constant f broadcasts); every fit
+    samples here, as non-finite values would poison every coefficient."""
+    v = np.broadcast_to(np.asarray(f(x), dtype=float), x.shape)
     if not np.all(np.isfinite(v)):
         raise ArgumentError("the function returned non-finite values at sample points")
     return v
@@ -258,30 +260,25 @@ def fit_fixed_chebyshev(f, domain, degree: int) -> PolySeries:
     a, b = float(domain[0]), float(domain[1])
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     x = mid + half * chebyshev_points(max(degree, 1))
-    c = vals2coeffs(np.asarray(f(x), dtype=float))
+    c = vals2coeffs(_samples(f, x))
     return PolySeries(bases.chebyshev(), (a, b), c[:degree + 1])
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
+# (JSON and CSV key, BasisSpec field) of each basis parameter, in file order
+_PARAMS = (("lambda", "lam"), ("alpha", "alpha"), ("beta", "beta"))
+
+
 def _basis_to_json(basis: BasisSpec) -> dict:
-    d = {"kind": basis.kind}
-    if basis.kind == bases.GEGENBAUER:
-        d["lambda"] = basis.lam
-    elif basis.kind == bases.JACOBI:
-        d["alpha"] = basis.alpha
-        d["beta"] = basis.beta
-    return d
+    params = ((key, getattr(basis, name)) for key, name in _PARAMS)
+    return {"kind": basis.kind, **{key: v for key, v in params if v is not None}}
 
 
 def _basis_from_json(d: dict) -> BasisSpec:
-    kind = d["kind"]
-    if kind == bases.GEGENBAUER:
-        return bases.gegenbauer(d["lambda"])
-    if kind == bases.JACOBI:
-        return bases.jacobi(d["alpha"], d["beta"])
-    return BasisSpec(kind)
+    """BasisSpec checks the parameters, which must belong to the kind."""
+    return BasisSpec(d["kind"], **{name: float(d[key]) for key, name in _PARAMS if key in d})
 
 
 def series_to_json(series: PolySeries) -> str:

@@ -110,6 +110,7 @@ def _spec(kind, **params):
     pytest.param(lambda: bases.gegenbauer(1e-300), "lambda > -1/2", id="1e-300"),
     pytest.param(lambda: bases.gegenbauer(-0.5), "lambda > -1/2", id="lambda-minus-half"),
     pytest.param(lambda: bases.gegenbauer(math.nan), "lambda > -1/2", id="lambda-nan"),
+    pytest.param(lambda: bases.gegenbauer(math.inf), "lambda > -1/2", id="lambda-inf"),
     pytest.param(_spec("Hermite"), "unknown basis kind", id="unknown-kind"),
     pytest.param(_spec(bases.GEGENBAUER), "needs lambda", id="no-lambda"),
     pytest.param(_spec(bases.LEGENDRE, lam=0.5), "only valid for Gegenbauer",
@@ -119,6 +120,8 @@ def _spec(kind, **params):
     pytest.param(lambda: bases.jacobi(-1.0, 0.0), "alpha, beta > -1", id="alpha-minus-one"),
     pytest.param(lambda: bases.jacobi(0.0, -1.5), "alpha, beta > -1", id="beta-below-minus-one"),
     pytest.param(lambda: bases.jacobi(math.nan, 0.0), "alpha, beta > -1", id="alpha-nan"),
+    pytest.param(lambda: bases.jacobi(math.inf, 0.0), "alpha, beta > -1", id="alpha-inf"),
+    pytest.param(lambda: bases.jacobi(0.0, math.inf), "alpha, beta > -1", id="beta-inf"),
     pytest.param(lambda: bases.jacobi(-0.3, -0.7), "degenerate", id="alpha-plus-beta-minus-one"),
     pytest.param(_spec(bases.CHEBYSHEV, alpha=1.0, beta=1.0), "only valid for Jacobi",
                  id="alpha-beta-on-chebyshev"),

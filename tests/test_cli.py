@@ -59,6 +59,13 @@ class TestSubcommands:
         assert "invalid arguments" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fit_constant(self, tmp_path):
+        req = tmp_path / "req.json"
+        req.write_text(json.dumps({"expr": "1", "domain": [0, 2]}))
+        out = tmp_path / "f.json"
+        assert run(["fit", "--in", str(req), "--out", str(out)]) == 0
+        np.testing.assert_array_equal(series_from_json(out.read_text()).coeffs, [1.0])
+
     def test_fit_numpy_ufunc_attribute(self, tmp_path):
         outs = []
         for expr in ("0.5*x**2*exp(-x)", "0.5*x**2*np.exp(-x)"):

@@ -74,9 +74,9 @@ class TestAnalyticMatrices:
 
 class TestTables:
     def test_gegenbauer_S_values(self):
-        assert bases.gegenbauer_S_array(0.5, 0)[0] == pytest.approx(-1.0, abs=1e-15)
-        assert bases.gegenbauer_S_array(0.5, 3)[3] == 0.0
-        assert bases.gegenbauer_S_array(2.0, 0)[0] == pytest.approx(-4.0, abs=1e-15)
+        assert convmat._gegenbauer_tables(0.5, 0).shat[0] == pytest.approx(-1.0, abs=1e-15)
+        assert convmat._gegenbauer_tables(0.5, 3).shat[3] == 0.0
+        assert convmat._gegenbauer_tables(2.0, 0).shat[0] == pytest.approx(-4.0, abs=1e-15)
 
     def test_jacobi_symmetric_kills_B(self):
         t = convmat.jacobi_tables(1.0, 1.0, 8)

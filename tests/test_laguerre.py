@@ -138,6 +138,10 @@ class TestFitting:
         fit = laguerre.fit_laguerre(g_func, 54)
         np.testing.assert_allclose(fit.coeffs, closed_form_g_coeffs(54), atol=5e-15)
 
+    def test_nonfinite_samples_rejected(self):
+        with pytest.raises(ArgumentError, match="non-finite"):
+            laguerre.fit_laguerre(lambda x: np.where(x > 3, np.nan, np.exp(-x)), 10)
+
     @pytest.mark.parametrize("degree", [True, 2.0])
     def test_non_integer_degree(self, degree):
         with pytest.raises(ArgumentError, match="degree must be an integer"):

@@ -1,3 +1,4 @@
+import json
 import math
 import threading
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voltconv import bases, quadrature, series
-from voltconv.errors import ArgumentError, DomainError, NonResolutionError
+from voltconv import bases, convmat, quadrature, series
+from voltconv.errors import ArgumentError, BasisParameterError, DomainError, NonResolutionError
 from voltconv.series import (ChopRule, PolySeries, chebyshev_points, clenshaw, evaluate,
                              fit_chebyshev, indefinite_integral_cheb,
                              series_from_csv, series_from_json, series_to_csv,
@@ -266,9 +267,35 @@ class TestValueAtMinusOne:
         assert got == pytest.approx(-2.5, rel=1e-14)
 
     def test_gegenbauer_half_matches_legendre(self):
-        for n in range(51):
-            v = bases.values_at_minus_one(bases.gegenbauer(0.5), n)[n]
-            assert v == pytest.approx((-1.0) ** n, rel=1e-13)
+        # Legendre runs Gegenbauer's formulas at lambda = 1/2; they give the
+        # bits of Legendre's own closed forms, sign bits included
+        def same_bits(x, y):
+            x, y = np.asarray(x), np.asarray(y)
+            assert x.dtype == y.dtype
+            np.testing.assert_array_equal(x, y)
+            np.testing.assert_array_equal(np.signbit(x), np.signbit(y))
+
+        half, leg = bases.gegenbauer(0.5), bases.legendre()
+        signs = np.where(np.arange(51) % 2, -1.0, 1.0)
+        for basis in (half, leg):
+            same_bits(bases.values_at_minus_one(basis, 50), signs)
+            assert [math.copysign(1, w) for w in bases.weight_parameters(basis)] == [1, 1]
+            assert bases.weight_parameters(basis) == (0.0, 0.0)
+            for dtype in (np.float64, np.longdouble):
+                n = np.arange(300, dtype=dtype)
+                for got, want in zip(bases.recurrence_abc(basis, n, dtype),
+                                     ((2 * n + 1) / (n + 1), np.zeros_like(n), -n / (n + 1))):
+                    same_bits(got, want)
+        (p_half, q_half), (p_leg, q_leg) = (convmat._ratio_tables(b, 300, 40)
+                                            for b in (half, leg))
+        assert q_half is None and q_leg is None
+        same_bits(p_half, p_leg)      # p[o, k] = (-1)^(k+o) (k + o + 1/2)
+        k = np.arange(301.0)
+        same_bits(p_leg[0], (np.where(k % 2, -1.0, 1.0) * (k + 0.5))[:261])
+        tables_half, tables_leg = convmat._tables(half, 300), convmat._tables(leg, 300)
+        for name in ("A", "B", "C", "shat", "Ainv", "Cinv"):
+            same_bits(getattr(tables_half, name), getattr(tables_leg, name))
+        assert not np.any(tables_leg.shat[1:])
 
     def test_laguerre_unsupported(self):
         from voltconv.errors import UnsupportedBasisError
@@ -291,8 +318,9 @@ class TestIndefiniteIntegral:
                                    [-0.25, 0, 0.25], atol=0)
 
     def test_empty_raises(self):
-        with pytest.raises(ArgumentError):
-            indefinite_integral_cheb([])
+        for coeffs in ([], [1.0, math.nan], [math.inf, 1.0, 1.0]):   # non-finite too
+            with pytest.raises(ArgumentError):
+                indefinite_integral_cheb(coeffs)
 
     def test_matches_quadrature(self):
         rng = np.random.default_rng(1)
@@ -364,6 +392,14 @@ class TestFitting:
     def test_nonfinite_samples_rejected(self):
         with pytest.raises(ArgumentError, match="non-finite"):
             fit_chebyshev(lambda x: np.where(x > 0.5, np.nan, x), (-1, 1))
+        with pytest.raises(ArgumentError, match="non-finite"):
+            series.fit_fixed_chebyshev(lambda x: np.where(x > 0.5, np.inf, x), (-1, 1), 8)
+
+    def test_constant_fit(self):
+        # f returns one number for the whole grid
+        for s in (fit_chebyshev(lambda x: 2.5, (0, 3)),
+                  series.fit_fixed_chebyshev(lambda x: 2.5, (0, 3), 4)):
+            np.testing.assert_allclose(evaluate(s, np.linspace(0, 3, 7)), 2.5, rtol=1e-15)
 
     def test_fixed_degree_interpolation(self):
         from voltconv.series import fit_fixed_chebyshev
@@ -426,3 +462,19 @@ class TestSerialization:
         text = f"# basis: Chebyshev\n# domain: -1 1\n1.0\n{token}\n"
         with pytest.raises(ArgumentError):
             series_from_csv(text)
+
+    @pytest.mark.parametrize("kind, params, match", [
+        ("Gegenbauer", {"lambda": math.inf}, "lambda > -1/2"),
+        ("Jacobi", {"alpha": 0.5, "beta": math.inf}, "alpha, beta > -1"),
+        ("Chebyshev", {"lambda": 0.5}, "only valid for Gegenbauer"),
+        ("Gegenbauer", {"lambda": 2.0, "beta": 1.0}, "only valid for Jacobi"),
+    ], ids=["lambda-inf", "beta-inf", "lambda-on-chebyshev", "beta-on-gegenbauer"])
+    def test_bad_basis_parameter_rejected(self, kind, params, match):
+        # a parameter must be finite and belong to its kind, in JSON and CSV
+        text = json.dumps({"basis": {"kind": kind, **params}, "domain": [-1, 1],
+                           "coeffs": [1.0]})
+        with pytest.raises(BasisParameterError, match=match):
+            series_from_json(text)
+        lines = [f"# basis: {kind}"] + [f"# {k}: {v}" for k, v in params.items()]
+        with pytest.raises(BasisParameterError, match=match):
+            series_from_csv("\n".join(lines + ["# domain: -1 1", "1.0"]) + "\n")
