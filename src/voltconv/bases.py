@@ -40,7 +40,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import BasisParameterError, DegenerateParameterError, UnsupportedBasisError
+from .errors import BasisParameterError, DegenerateParameterError, UnsupportedBasisError, size
 
 CHEBYSHEV = "Chebyshev"
 LEGENDRE = "Legendre"
@@ -62,6 +62,11 @@ _MIN_RANGE_BYTES = 1 << 18
 # coefficient A_1 vanishes there and S_1 divides by it) and Gegenbauer's
 # lambda = 0 (column 0 divides by lambda).
 DEGENERATE_TOL = 1e-12
+
+
+def _jacobi_range(alpha, beta) -> bool:
+    """Whether alpha and beta are finite and > -1, the Jacobi weight's range."""
+    return -1.0 < alpha < np.inf and -1.0 < beta < np.inf
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ class BasisSpec:
         if self.kind == JACOBI:
             if self.alpha is None or self.beta is None:
                 raise BasisParameterError("Jacobi basis needs alpha and beta")
-            if not (-1.0 < self.alpha < np.inf and -1.0 < self.beta < np.inf):
+            if not _jacobi_range(self.alpha, self.beta):
                 raise BasisParameterError(
                     f"Jacobi needs finite alpha, beta > -1 (got {self.alpha}, {self.beta})")
             if abs(self.alpha + self.beta + 1.0) <= DEGENERATE_TOL:
@@ -345,7 +350,7 @@ def values_at_minus_one(basis: BasisSpec, nmax: int) -> np.ndarray:
     (-1)^n (beta+1)_n / n! for Jacobi."""
     if not basis.finite_interval:
         raise UnsupportedBasisError("values_at_minus_one needs a finite-interval basis")
-    signs = _signs(nmax + 1)
+    signs = _signs(size(nmax, "nmax") + 1)
     if basis.kind == CHEBYSHEV:
         return signs
     shift = basis.beta + 1.0 if basis.kind == JACOBI else 2.0 * _lam(basis)

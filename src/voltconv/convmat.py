@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bases
 from .bases import BasisSpec
-from .errors import ArgumentError, BasisParameterError, DimensionError, UnsupportedBasisError
+from .errors import (ArgumentError, BasisParameterError, DimensionError, UnsupportedBasisError,
+                     rhs, size, vector)
 
 __all__ = [
     "ConvMatrix", "RecurrenceTables", "build_chebyshev", "build_legendre",
@@ -166,9 +166,7 @@ class RecurrenceTables:
 def jacobi_tables(alpha: float, beta: float, nmax: int) -> RecurrenceTables:
     """Tables A_1..A_{nmax+1}, B_0..B_{nmax+1}, C_0..C_{nmax+1}, shat_0..shat_{nmax}."""
     bases.jacobi(alpha, beta)  # parameter validation, the degenerate line included
-    ab = alpha + beta
-    if nmax < 0:
-        raise ArgumentError("nmax must be >= 0")
+    ab, nmax = alpha + beta, size(nmax, "nmax")
     j = np.arange(nmax + 2, dtype=float)
     A = np.zeros(nmax + 2)
     A[1:] = 2.0 * (ab + j[1:]) / ((ab + 2.0 * j[1:] - 1.0) * (ab + 2.0 * j[1:]))
@@ -275,32 +273,11 @@ def _column_step(tables, n, k, col, prev, col0):
 # ---------------------------------------------------------------------------
 # the stable four-phase build
 
-def _kernel_and_size(a, N):
-    """The kernel as a finite, nonempty 1-D float array, and N as an int >= 0."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1:
-        raise DimensionError(f"kernel coefficient array must be 1-D (got shape {a.shape})")
-    if a.size == 0:
-        raise ArgumentError("kernel coefficient array must be nonempty")
-    if not np.all(np.isfinite(a)):
-        raise ArgumentError("kernel coefficients must be finite")
-    return a, _size(N)
-
-
-def _size(N, name: str = "N") -> int:
-    """N as an int >= 0; bools and non-integral numbers are rejected."""
-    if isinstance(N, (bool, np.bool_)) or not isinstance(N, numbers.Integral):
-        raise ArgumentError(f"{name} must be an integer (got {N!r})")
-    if N < 0:
-        raise ArgumentError(f"{name} must be >= 0")
-    return int(N)
-
-
 def build(basis: BasisSpec, a, N: int, scale: float = 1.0) -> ConvMatrix:
     """Stable construction of the convolution matrix for any supported basis;
     it allocates top and band (as returned when N >= M+2), a few rows, and
     the scratch of region B's blocks (_mirror_blocks)."""
-    a, N = _kernel_and_size(a, N)
+    a, N = vector(a, "kernel coefficient array"), size(N)
     if not math.isfinite(scale):
         raise ArgumentError(f"scale must be finite (got {scale!r})")
     if not basis.finite_interval:
@@ -594,8 +571,7 @@ def symmetry_ratio(basis: BasisSpec, n: int, k: int) -> float:
     """Factor rho with R_{n,k} = rho * R_{k,n} in the symmetric submatrix."""
     if not basis.finite_interval:
         raise UnsupportedBasisError("symmetry ratio needs a finite-interval basis")
-    if n < 1 or k < 1:
-        raise ArgumentError("symmetry ratio needs n, k >= 1")
+    n, k = (size(v, "n, k", 1) for v in (n, k))
     if n == k:
         return 1.0
     lo, hi = min(n, k), max(n, k)
@@ -630,7 +606,7 @@ def build_chebyshev_naive(a, N: int) -> np.ndarray:
     possible by design (the multipliers (n+1)/k exceed 1 above the diagonal
     and roundoff compounds factorially); callers inspect rather than trap.
     """
-    a, N = _kernel_and_size(a, N)
+    a, N = vector(a, "kernel coefficient array"), size(N)
     M = a.size - 1
     tables = _chebyshev_tables(M + N)
     R = np.zeros((M + N + 3, N + 1))       # a zero row past the last: R_{k+1,n}
@@ -688,12 +664,7 @@ def apply(R: ConvMatrix, b) -> np.ndarray:
     than _MIN_APPLY_BYTES of top and band, run under bases._run_split's
     threading contract.
     """
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1:
-        raise DimensionError("b must be a vector")
-    if b.size > R.N + 1:
-        raise DimensionError(f"b has {b.size} entries; at most {R.N + 1} allowed")
-    x = b
+    x = b = rhs(b, R.N + 1)
     if b.size < R.N + 1:
         x = np.zeros(R.N + 1)
         x[:b.size] = b

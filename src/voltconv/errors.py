@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks that raise them."""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class VoltconvError(Exception):
@@ -62,3 +67,42 @@ class SingularSystemError(VoltconvError, RuntimeError):
 
 class NarrowLongdoubleError(VoltconvError, RuntimeError):
     """The extended tier needs np.longdouble wider than float64."""
+
+
+def size(n, name: str = "N", least: int = 0) -> int:
+    """n as an int >= least; bools and non-integral numbers are rejected."""
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, numbers.Integral):
+        raise ArgumentError(f"{name} must be an integer (got {n!r})")
+    if n < least:
+        raise ArgumentError(f"need {name} >= {least} (got {n})")
+    return int(n)
+
+
+def vector(a, name: str) -> np.ndarray:
+    """A copy of a as a finite, nonempty 1-D float array."""
+    a = np.array(a, dtype=float)
+    if a.ndim != 1:
+        raise DimensionError(f"{name} must be 1-D (got shape {a.shape})")
+    if a.size == 0:
+        raise ArgumentError(f"{name} must be nonempty")
+    if not np.all(np.isfinite(a)):
+        raise ArgumentError(f"{name} must be finite")
+    return a
+
+
+def interval(domain) -> tuple:
+    """(a, b) as floats with a < b, both finite."""
+    a, b = map(float, domain)
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError(f"domain must be finite with a < b, got {domain}")
+    return a, b
+
+
+def rhs(b, n: int) -> np.ndarray:
+    """b as a 1-D float array of at most n entries; not checked for finiteness (README)."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 1:
+        raise DimensionError("b must be a vector")
+    if b.size > n:
+        raise DimensionError(f"b has {b.size} entries; at most {n} allowed")
+    return b

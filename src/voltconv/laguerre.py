@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bases, quadrature
-from .convmat import _kernel_and_size, _size
-from .errors import ArgumentError, DimensionError, RangeOverflowError
+from .errors import ArgumentError, DimensionError, RangeOverflowError, rhs, size, vector
 from .series import PolySeries, _samples
 
 FFT_THRESHOLD = 1 << 16   # direct convolution below (M+1)*(len b)
@@ -64,8 +63,7 @@ class LaguerreConvMatrix:
 
 def build_laguerre(a, N: int) -> LaguerreConvMatrix:
     """Implicit convolution matrix for the kernel coefficient vector a."""
-    a, N = _kernel_and_size(a, N)
-    a = a.copy()
+    a, N = vector(a, "kernel coefficient array"), size(N)
     a.setflags(write=False)
     return LaguerreConvMatrix(a, N)
 
@@ -84,11 +82,7 @@ def apply_laguerre(R: LaguerreConvMatrix, b) -> np.ndarray:
     FFT_THRESHOLD; the two paths agree to ~1e-13 elementwise.  The FFT path
     transforms the kernel once per FFT length (R._kernel_rfft).
     """
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1:
-        raise DimensionError("b must be a vector")
-    if b.size > R.N + 1:
-        raise DimensionError(f"b has {b.size} entries; at most {R.N + 1} allowed")
+    b = rhs(b, R.N + 1)
     if b.size == 0:
         raise ArgumentError("b must be nonempty")
     a = R.a
@@ -121,7 +115,7 @@ def fit_laguerre(f, degree: int) -> PolySeries:
     from degree 244 L_m overflows at the rule's largest nodes: that raises
     RangeOverflowError.
     """
-    degree = _size(degree, "degree")
+    degree = size(degree, "degree")
     npts = 2 * degree + 8
     x, _, w_exp = quadrature.gauss_laguerre(npts)
     F = _samples(f, x) * w_exp

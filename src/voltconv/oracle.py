@@ -38,11 +38,11 @@ import numpy as np
 
 from . import bases, quadrature
 from .bases import BasisSpec
-from .convmat import ConvMatrix, _column, _size, to_dense
-from .errors import ArgumentError, DimensionError, DomainMismatchError, OversizeError
+from .convmat import ConvMatrix, _column, to_dense
+from .errors import DimensionError, DomainMismatchError, OversizeError, size
 from .prng import SplitMix64
 from .quadrature import LD
-from .series import PolySeries, clenshaw, evaluate
+from .series import PolySeries, _conv_domain, _to_canonical, clenshaw, evaluate
 
 COEFF_ORACLE_CAP = 600  # max M+n for entrywise columns; sample pointwise beyond
 _BLOCK_COLUMNS = 16     # columns per product in the projection (_project_columns)
@@ -72,7 +72,7 @@ def conv_coeff_block(f: PolySeries, N: int, extended: bool = False) -> np.ndarra
     """
     if not f.basis.finite_interval:
         raise DomainMismatchError("coefficient oracle needs a finite-interval basis")
-    N = _size(N)
+    N = size(N)
     M = f.degree
     if extended:
         quadrature.require_extended()
@@ -185,14 +185,8 @@ def conv_point_oracle(f: PolySeries, g: PolySeries, points) -> np.ndarray:
     """
     if not (f.basis.finite_interval and g.basis.finite_interval):
         raise DomainMismatchError("pointwise oracle needs finite-interval series")
-    a, b = f.domain
-    c, d = g.domain
-    if abs((b - a) - (d - c)) > 1e-12 * (b - a):
-        raise DomainMismatchError("kernel and input must live on equal-length intervals")
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    if np.any(pts < a + c - 1e-12 * (b - a)) or np.any(pts > b + c + 1e-12 * (b - a)):
-        raise DomainMismatchError(f"convolution points must lie in [{a + c}, {b + c}]")
-    y = np.clip((2.0 * pts - (a + c) - (b + c)) / (b - a), -1.0, 1.0)
+    y = _to_canonical(_conv_domain(f, g), np.atleast_1d(np.asarray(points, dtype=float)))
+    (a, b), (c, d) = f.domain, g.domain
     t, G = _kernel_on_grid(f, y, (f.degree + g.degree) // 2 + 2)
     return (b - a) / 2 * (G * evaluate(g, c + (d - c) * (t + 1) / 2)).sum(axis=1)
 
@@ -242,8 +236,7 @@ def sampled_value_errors(R: ConvMatrix, f: PolySeries, n_samples: int,
         raise DomainMismatchError(
             f"kernel {f.basis.label()} of degree {f.degree} does not match the "
             f"matrix's {R.basis.label()} of degree {R.M}")
-    if _size(n_samples, "n_samples") < 1:
-        raise ArgumentError("n_samples must be >= 1")
+    size(n_samples, "n_samples", 1)
     quadrature.require_extended()
     M, N = R.M, R.N
     rng = SplitMix64(seed)

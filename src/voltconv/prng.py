@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import size
+
 _MASK = (1 << 64) - 1
 _WEYL = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -20,9 +22,7 @@ class SplitMix64:
     """splitmix64 stream seeded with an unsigned 64-bit integer."""
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        self._state = seed & _MASK
+        self._state = size(seed, "seed") & _MASK
 
     def next_uint64(self) -> int:
         self._state = (self._state + _WEYL) & _MASK
@@ -37,16 +37,14 @@ class SplitMix64:
 
     def uniform(self, n: int) -> np.ndarray:
         """Array of n uniform doubles in [-1, 1)."""
-        return np.array([2.0 * self.uniform01() - 1.0 for _ in range(n)])
+        return np.array([2.0 * self.uniform01() - 1.0 for _ in range(size(n, "n"))])
 
     def integers(self, n: int, high: int) -> np.ndarray:
         """Array of n integers uniform in [0, high]."""
-        return np.array([int(self.uniform01() * (high + 1)) for _ in range(n)],
+        return np.array([int(self.uniform01() * (high + 1)) for _ in range(size(n, "n"))],
                         dtype=np.int64)
 
 
 def random_kernel(M: int, seed: int) -> np.ndarray:
     """Seeded random kernel coefficients a_0..a_M, entries uniform in [-1, 1)."""
-    if M < 0:
-        raise ValueError("M must be >= 0")
-    return SplitMix64(seed).uniform(M + 1)
+    return SplitMix64(seed).uniform(size(M, "M") + 1)

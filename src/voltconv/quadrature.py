@@ -22,7 +22,7 @@ from typing import Tuple
 import numpy as np
 
 from . import bases
-from .errors import ArgumentError, ConvergenceError, NarrowLongdoubleError
+from .errors import ArgumentError, ConvergenceError, NarrowLongdoubleError, size
 
 LD = np.longdouble
 PI_LD = LD("3.14159265358979323846264338327950288")
@@ -131,10 +131,9 @@ def gauss_jacobi(alpha: float, beta: float, n: int,
     Exact for polynomial integrands of degree <= 2n - 1; nodes strictly inside
     (-1, 1), weights positive.
     """
-    if n < 1:
-        raise ArgumentError("need at least one quadrature node")
-    if not (alpha > -1.0 and beta > -1.0):
-        raise ArgumentError("Gauss-Jacobi needs alpha, beta > -1")
+    n = size(n, "n", 1)
+    if not bases._jacobi_range(alpha, beta):
+        raise ArgumentError(f"Gauss-Jacobi needs finite alpha, beta > -1 (got {alpha}, {beta})")
     if extended:
         require_extended()
     if alpha == beta == -0.5:
@@ -176,8 +175,7 @@ def gauss_laguerre(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     node, and w_exp is assembled in the log domain, so neither L_n at the
     largest nodes nor e^x overflows.
     """
-    if n < 1:
-        raise ArgumentError("need at least one quadrature node")
+    n = size(n, "n", 1)
     tables = bases._step_tables(bases.weighted_laguerre(), n + 1, LD)
 
     def step(z):

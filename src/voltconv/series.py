@@ -17,7 +17,8 @@ import numpy as np
 
 from . import bases
 from .bases import BasisSpec
-from .errors import ArgumentError, DomainError, NonResolutionError
+from .errors import (ArgumentError, DomainError, DomainMismatchError, NonResolutionError, interval,
+                     size, vector)
 
 _DOMAIN_RELTOL = 1e-12
 
@@ -39,8 +40,7 @@ class ChopRule:
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise ArgumentError("rel_tol must lie in (0, 1)")
-        if self.max_degree < 1:
-            raise ArgumentError("max_degree must be >= 1")
+        size(self.max_degree, "max_degree", 1)
 
 
 @dataclass(frozen=True)
@@ -52,21 +52,13 @@ class PolySeries:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ArgumentError("coeffs must be a nonempty 1-D array")
-        if not np.all(np.isfinite(c)):
-            raise ArgumentError("coeffs must be finite")
+        c = vector(self.coeffs, "coeffs")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        a, b = self.domain
-        if self.basis.finite_interval:
-            if not (math.isfinite(a) and math.isfinite(b) and a < b):
-                raise DomainError(f"domain must be a finite ordered pair, got {self.domain}")
-        else:
-            if a != 0.0 or not math.isinf(b):
-                raise DomainError("WeightedLaguerre series live on [0, inf)")
-        object.__setattr__(self, "domain", (float(a), float(b)))
+        if not self.basis.finite_interval and tuple(self.domain) != (0.0, math.inf):
+            raise DomainError("WeightedLaguerre series live on [0, inf)")
+        domain = interval(self.domain) if self.basis.finite_interval else (0.0, math.inf)
+        object.__setattr__(self, "domain", domain)
 
     @property
     def degree(self) -> int:
@@ -76,14 +68,25 @@ class PolySeries:
         return evaluate(self, points)
 
 
-def _to_canonical(series: PolySeries, points: np.ndarray) -> np.ndarray:
-    a, b = series.domain
+def _to_canonical(domain, points: np.ndarray) -> np.ndarray:
+    """points of the finite domain [a, b], widened by _DOMAIN_RELTOL of its
+    length, mapped to [-1, 1]; any other point, NaN included, is a DomainError."""
+    a, b = domain
     lo = a - _DOMAIN_RELTOL * (b - a)
     hi = b + _DOMAIN_RELTOL * (b - a)
-    if np.any(points < lo) or np.any(points > hi):
-        raise DomainError(f"point outside series domain [{a}, {b}]")
+    if not np.all((points >= lo) & (points <= hi)):
+        raise DomainError(f"point outside the domain [{a}, {b}]")
     y = (2.0 * points - (a + b)) / (b - a)
     return np.clip(y, -1.0, 1.0)
+
+
+def _conv_domain(f: PolySeries, g: PolySeries) -> Tuple[float, float]:
+    """[a+c, b+c], the domain of f * g for f on [a, b] and g on [c, d]; the
+    lengths must agree to _DOMAIN_RELTOL, or DomainMismatchError."""
+    (a, b), (c, d) = f.domain, g.domain
+    if abs((b - a) - (d - c)) > _DOMAIN_RELTOL * (b - a):
+        raise DomainMismatchError(f"interval lengths differ: [{a}, {b}] vs [{c}, {d}]")
+    return a + c, b + c
 
 
 def clenshaw(basis: BasisSpec, coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -148,10 +151,10 @@ def evaluate(series: PolySeries, points) -> np.ndarray:
     scalar = pts.ndim == 0
     pts = np.atleast_1d(pts)
     if series.basis.finite_interval:
-        y = _to_canonical(series, pts)
+        y = _to_canonical(series.domain, pts)
         out = clenshaw(series.basis, series.coeffs, y)
     else:
-        if np.any(pts < 0.0):
+        if not np.all(pts >= 0.0):
             raise DomainError("WeightedLaguerre series are defined for x >= 0")
         out = clenshaw(series.basis, series.coeffs, pts) * np.exp(-pts)
     return out[0] if scalar else out
@@ -182,11 +185,7 @@ def indefinite_integral_cheb(coeffs) -> np.ndarray:
     alpha~_1 = alpha_0 - alpha_2 / 2, and alpha~_0 makes the result vanish
     at x = -1.
     """
-    a = np.asarray(coeffs, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ArgumentError("coefficient array must be nonempty")
-    if not np.all(np.isfinite(a)):
-        raise ArgumentError("coefficients must be finite")
+    a = vector(coeffs, "coefficient array")
     J = a.size - 1
     ap = np.concatenate([a, [0.0, 0.0]])  # alpha_{J+1} = alpha_{J+2} = 0
     out = np.empty(J + 2)
@@ -224,9 +223,7 @@ def fit_chebyshev(f: Callable[[np.ndarray], np.ndarray],
     the negligible tail.  A small off-grid spot check guards against aliasing
     false positives (a high harmonic folding exactly onto a coarse grid).
     """
-    a, b = float(domain[0]), float(domain[1])
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"fit domain must be finite with a < b, got {domain}")
+    a, b = interval(domain)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     probe = mid + half * np.cos(np.linspace(0.31, 2.87, 23))
     f_probe = _samples(f, probe)
@@ -257,7 +254,8 @@ def fit_chebyshev(f: Callable[[np.ndarray], np.ndarray],
 
 def fit_fixed_chebyshev(f, domain, degree: int) -> PolySeries:
     """Non-adaptive interpolation at degree+1 second-kind points."""
-    a, b = float(domain[0]), float(domain[1])
+    a, b = interval(domain)
+    degree = size(degree, "degree")
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     x = mid + half * chebyshev_points(max(degree, 1))
     c = vals2coeffs(_samples(f, x))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import convmat, laguerre
-from .errors import DimensionError, DomainMismatchError, SingularSystemError
-from .series import PolySeries, series_from_json, series_to_json
+from .errors import DimensionError, DomainMismatchError, SingularSystemError, size
+from .series import PolySeries, _conv_domain, series_from_json, series_to_json
 
 _PIVOT_RTOL = 1e-14
 
@@ -69,19 +69,15 @@ def convolve(f: PolySeries, g: PolySeries) -> PolySeries:
         R = laguerre.build_laguerre(f.coeffs, g.degree)
         c = laguerre.apply_laguerre(R, g.coeffs)
         return PolySeries(f.basis, (0.0, math.inf), c)
+    domain = _conv_domain(f, g)
     a, b = f.domain
-    c0, d0 = g.domain
-    if abs((b - a) - (d0 - c0)) > 1e-12 * (b - a):
-        raise DomainMismatchError(
-            f"interval lengths differ: [{a}, {b}] vs [{c0}, {d0}]")
     R = convmat.build(f.basis, f.coeffs, g.degree, scale=(b - a) / 2.0)
-    out = convmat.apply(R, g.coeffs)
-    return PolySeries(f.basis, (a + c0, b + c0), out)
+    return PolySeries(f.basis, domain, convmat.apply(R, g.coeffs))
 
 
 def truncate_square(R: convmat.ConvMatrix, N: int) -> np.ndarray:
     """Dense leading (N+1) x (N+1) block of the scaled matrix."""
-    N = convmat._size(N)
+    N = size(N)
     if N > R.N:
         raise DimensionError(
             f"matrix of shape {R.shape} has no leading {N + 1} x {N + 1} block")
@@ -90,7 +86,7 @@ def truncate_square(R: convmat.ConvMatrix, N: int) -> np.ndarray:
 
 def tailor_rhs(coeffs: np.ndarray, N: int) -> np.ndarray:
     """Truncate or zero-pad a coefficient vector to length N + 1."""
-    c = np.zeros(N + 1)
+    c = np.zeros(size(N) + 1)
     m = min(len(coeffs), N + 1)
     c[:m] = coeffs[:m]
     return c

@@ -5,6 +5,7 @@ import pytest
 
 from voltconv import bases, convmat, laguerre, quadrature
 from voltconv.cli import run
+from voltconv.errors import ArgumentError
 from voltconv.prng import SplitMix64, random_kernel
 from voltconv.series import PolySeries, evaluate, series_from_json, series_to_csv
 
@@ -28,6 +29,17 @@ class TestRandomKernel:
 
     def test_seeds_differ(self):
         assert not np.array_equal(random_kernel(10, 1), random_kernel(10, 2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: random_kernel(2.5, 3), id="M-fraction"),
+        pytest.param(lambda: SplitMix64(-1), id="seed-negative"),
+        pytest.param(lambda: SplitMix64(2.5), id="seed-fraction"),
+        pytest.param(lambda: SplitMix64(1).uniform(-1), id="uniform-negative"),
+        pytest.param(lambda: SplitMix64(1).integers(2.5, 4), id="integers-fraction")])
+    def test_bad_size_rejected(self, make):
+        with pytest.raises(ArgumentError):
+            make()
 
     def test_splitmix_reference_values(self):
         # first outputs of splitmix64 for seed 0 (published reference stream)

@@ -109,6 +109,11 @@ class TestTables:
         np.testing.assert_allclose(t.shat[2:], 2.0 * (-1.0) ** n / (n - 1.0),
                                    rtol=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_integer_nmax_rejected(self):
+        with pytest.raises(ArgumentError, match="nmax must be an integer"):
+            convmat.jacobi_tables(1.0, 0.5, 2.5)
+
     def test_degenerate_line_rejected(self):
         # BasisSpec itself refuses the line, so every Jacobi entry point does
         for make in (lambda: convmat.jacobi_tables(-0.3, -0.7, 4),
@@ -147,6 +152,12 @@ class TestSymmetryRatio:
         for n, k in ((0, 4), (4, 0), (0, 0)):
             with pytest.raises(ArgumentError, match="n, k >= 1"):
                 convmat.symmetry_ratio(finite_basis, n, k)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, k", [(2.5, 4), (4, 2.5)])
+    def test_non_integer_index_rejected(self, n, k):
+        with pytest.raises(ArgumentError, match="n, k must be an integer"):
+            convmat.symmetry_ratio(bases.chebyshev(), n, k)
 
     def test_jacobi_product_vs_quotient(self):
         al, be = 2.0, 1.5

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from voltconv import bases, convmat, oracle, quadrature, series
-from voltconv.errors import (ArgumentError, DimensionError, DomainMismatchError,
+from voltconv.errors import (ArgumentError, DimensionError, DomainError, DomainMismatchError,
                              NarrowLongdoubleError, OversizeError)
 from voltconv.prng import random_kernel
 from voltconv.series import PolySeries, evaluate, indefinite_integral_cheb
@@ -114,6 +114,16 @@ class TestPointwiseOracle:
         xs = np.linspace(0, 2, 100)
         np.testing.assert_allclose(evaluate(h, xs),
                                    oracle.conv_point_oracle(f, u, xs), atol=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("point", [1.6, np.nan], ids=["beyond", "nan"])
+    def test_points_outside_rejected(self, point):
+        # f * g lives on [-0.5, 1.5]: a point outside it, NaN included, is a
+        # DomainError, as in evaluate
+        f = PolySeries(bases.chebyshev(), (-1, 1), [1.0, 0.5])
+        g = PolySeries(bases.chebyshev(), (0.5, 2.5), [1.0, 0.25])
+        with pytest.raises(DomainError):
+            oracle.conv_point_oracle(f, g, [0.0, point])
 
 
 class TestReports:

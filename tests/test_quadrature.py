@@ -71,11 +71,19 @@ class TestGaussJacobi:
                 quadrature.gauss_jacobi(a, b, n, extended=extended)
         assert 1 <= len(steps) <= 3
 
-    def test_invalid_args(self):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: quadrature.gauss_jacobi(0.0, 0.0, 0), id="n-zero"),
+        pytest.param(lambda: quadrature.gauss_jacobi(0.0, 0.0, True), id="n-bool"),
+        pytest.param(lambda: quadrature.gauss_jacobi(0.0, 0.0, 2.5), id="n-fraction"),
+        pytest.param(lambda: quadrature.gauss_jacobi(-1.5, 0.0, 3), id="alpha-below-minus-one"),
+        pytest.param(lambda: quadrature.gauss_jacobi(math.inf, 0.0, 5), id="alpha-inf"),
+        pytest.param(lambda: quadrature.gauss_laguerre(2.5), id="laguerre-n-fraction"),
+    ])
+    def test_invalid_args(self, make):
+        # a malformed size or parameter is refused before any arithmetic
         with pytest.raises(ArgumentError):
-            quadrature.gauss_jacobi(0.0, 0.0, 0)
-        with pytest.raises(ArgumentError):
-            quadrature.gauss_jacobi(-1.5, 0.0, 3)
+            make()
 
 
 class TestGaussLaguerre:

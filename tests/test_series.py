@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voltconv import bases, convmat, quadrature, series
-from voltconv.errors import ArgumentError, BasisParameterError, DomainError, NonResolutionError
+from voltconv.errors import (ArgumentError, BasisParameterError, DimensionError, DomainError,
+                             NonResolutionError)
 from voltconv.series import (ChopRule, PolySeries, chebyshev_points, clenshaw, evaluate,
                              fit_chebyshev, indefinite_integral_cheb,
                              series_from_csv, series_from_json, series_to_csv,
@@ -33,14 +34,21 @@ class TestEvaluate:
         s = PolySeries(bases.chebyshev(), (0, 2), [0, 1])  # T_1 of mapped var
         assert evaluate(s, 1.5) == pytest.approx(0.5, abs=1e-15)
 
-    def test_outside_domain_raises(self):
-        s = PolySeries(bases.chebyshev(), (-1, 1), [1.0])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("basis, point", [
+        (bases.chebyshev(), 1.5), (bases.chebyshev(), math.nan),
+        (bases.weighted_laguerre(), math.nan)], ids=["beyond", "nan", "laguerre-nan"])
+    def test_outside_domain_raises(self, basis, point):
+        # NaN lies in no domain
+        domain = (-1, 1) if basis.finite_interval else (0, math.inf)
         with pytest.raises(DomainError):
-            evaluate(s, 1.5)
+            evaluate(PolySeries(basis, domain, [1.0]), point)
 
     def test_constructor_validation(self):
         with pytest.raises(ArgumentError):
             PolySeries(bases.chebyshev(), (-1, 1), [])
+        with pytest.raises(DimensionError, match="1-D"):
+            PolySeries(bases.chebyshev(), (-1, 1), [[1.0, 0.5]])
         with pytest.raises(DomainError):
             PolySeries(bases.chebyshev(), (1, -1), [1.0])
         with pytest.raises(DomainError):
@@ -297,6 +305,11 @@ class TestValueAtMinusOne:
             same_bits(getattr(tables_half, name), getattr(tables_leg, name))
         assert not np.any(tables_leg.shat[1:])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ArgumentError):
+            bases.values_at_minus_one(bases.chebyshev(), -1)
+
     def test_laguerre_unsupported(self):
         from voltconv.errors import UnsupportedBasisError
         with pytest.raises(UnsupportedBasisError):
@@ -418,8 +431,17 @@ class TestFitting:
     def test_chop_rule_validation(self):
         with pytest.raises(ArgumentError):
             ChopRule(rel_tol=0.0)
-        with pytest.raises(ArgumentError):
-            ChopRule(max_degree=0)
+        for max_degree in (0, 2.5):
+            with pytest.raises(ArgumentError):
+                ChopRule(max_degree=max_degree)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("domain, degree, error", [
+        ((0.0, 1.0), 2.5, ArgumentError), ((math.nan, 1.0), 4, DomainError)],
+        ids=["degree-fraction", "domain-nan"])
+    def test_fixed_fit_input_rejected(self, domain, degree, error):
+        with pytest.raises(error):
+            series.fit_fixed_chebyshev(np.cos, domain, degree)
 
 
 class TestSerialization:

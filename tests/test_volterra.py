@@ -120,6 +120,11 @@ class TestTruncateSquare:
         with pytest.raises(ArgumentError):
             volterra.truncate_square(R, N)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_negative_tailor_length_raises(self):
+        with pytest.raises(ArgumentError):
+            volterra.tailor_rhs(np.ones(3), -1)
+
     def test_numpy_integer_N(self):
         R = convmat.build_chebyshev([1.0, 0.5], 4)
         np.testing.assert_array_equal(volterra.truncate_square(R, np.int64(2)),

@@ -20,9 +20,11 @@ applies; the naive builder; Clenshaw and poly_vandermonde in float64 and
 longdouble; conv_coeff_block in both tiers; sampled_value_errors; the
 Gauss rules; values_at_minus_one, recurrence_abc in both dtypes,
 weight_parameters, every RecurrenceTables and _ratio_tables array; the
-series JSON/CSV text; the fits, indefinite_integral_cheb, the Laguerre
-matrix, convolve and solve_second_kind; and conv_point_oracle, which is
-hashed like the rest.
+series JSON/CSV text; evaluate at both ends of a domain and up to
+series._DOMAIN_RELTOL of its length beyond them; the fits,
+indefinite_integral_cheb, the Laguerre matrix, convolve's coefficients and
+domain, and solve_second_kind; and conv_point_oracle, on a grid and at the
+ends as evaluate is.
 """
 
 from __future__ import annotations
@@ -76,6 +78,12 @@ def outputs(cpus: int) -> dict:
 
     def put(key, value):
         out[key] = digest(value)
+
+    def ends(a, b):
+        """Points of [a, b] and up to series._DOMAIN_RELTOL of its length
+        beyond each end, which evaluation clips onto the ends."""
+        tol = series._DOMAIN_RELTOL * (b - a)
+        return np.array([a - tol, a - tol / 2, a, a + tol, b - tol, b, b + tol / 2, b + tol])
 
     def put_build(key, R, b):
         put(key + "/top", R.top)
@@ -141,6 +149,8 @@ def outputs(cpus: int) -> dict:
                               (0.0, np.inf), c[:7])
         put(f"json/{label}", series.series_to_json(s))
         put(f"csv/{label}", series.series_to_csv(s))
+        if basis.finite_interval:
+            put(f"evaluate_ends/{label}", series.evaluate(s, ends(-1.0, 2.0)))
 
     for label, basis in finite[:3] + finite[5:7]:
         f = series.PolySeries(basis, (-1.0, 1.0), random_kernel(10, 3))
@@ -153,7 +163,10 @@ def outputs(cpus: int) -> dict:
         g = series.PolySeries(basis, (0.5, 2.5), random_kernel(40, 9))
         put(f"point_oracle/{label}", oracle.conv_point_oracle(
             f, g, np.linspace(-0.5, 1.5, 301)))
-        put(f"convolve/{label}", volterra.convolve(f, g).coeffs)
+        put(f"point_oracle_ends/{label}", oracle.conv_point_oracle(f, g, ends(-0.5, 1.5)))
+        h = volterra.convolve(f, g)
+        put(f"convolve/{label}", h.coeffs)
+        put(f"convolve_domain/{label}", np.array(h.domain))
         problem = volterra.VolterraProblem(
             series.PolySeries(basis, (0.0, 2.0), 0.1 * random_kernel(8, 4)),
             series.PolySeries(basis, (0.0, 2.0), random_kernel(12, 6)))
